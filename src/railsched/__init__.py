@@ -34,9 +34,7 @@ from .solver import (
     SlotInstance,
     SlotSolution,
     brute_force_slot,
-    golden_section_search,
     greedy_allocation,
-    integer_round,
     m1_value,
     m2_value,
     objective_value,

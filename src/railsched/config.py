@@ -47,7 +47,6 @@ DEFAULTS = {
     },
     "control": {
         "omega": 0.8,
-        "epsilon": 1e-3,
     },
     "run": {
         "horizon": 300_000,
@@ -71,7 +70,6 @@ class ScenarioConfig:
     radio: RadioParams
     traffic: TrafficParams
     omega: float
-    epsilon: float
     horizon: int
     seed: int
     policy: str
@@ -165,9 +163,6 @@ def _build(values: dict) -> ScenarioConfig:
     omega = float(ctl["omega"])
     if omega < 0:
         raise ConfigError("control.omega must be non-negative")
-    epsilon = float(ctl["epsilon"])
-    if epsilon <= 0:
-        raise ConfigError("control.epsilon must be positive")
 
     horizon = int(run["horizon"])
     if horizon < 1:
@@ -181,7 +176,6 @@ def _build(values: dict) -> ScenarioConfig:
         radio=radio,
         traffic=traffic,
         omega=omega,
-        epsilon=epsilon,
         horizon=horizon,
         seed=int(run["seed"]),
         policy=policy,
@@ -261,7 +255,7 @@ def with_updates(config: ScenarioConfig, **kwargs) -> ScenarioConfig:
             traffic = dataclasses.replace(traffic, delay_bounds=(float(value),) * traffic.num_services)
         elif name == "avg_power":
             traffic = dataclasses.replace(traffic, avg_power=float(value))
-        elif name in ("omega", "epsilon", "horizon", "seed", "policy"):
+        elif name in ("omega", "horizon", "seed", "policy"):
             top[name] = value
         else:
             raise ConfigError(f"with_updates does not know field {name!r}")

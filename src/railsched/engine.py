@@ -21,10 +21,8 @@ import numpy as np
 
 from .channel import ChannelSample, capacity_cap_profile, distance_profile, noise_profile
 from .config import ScenarioConfig
-from .policies import Policy, PolicyKind, build_policy, decide
+from .policies import POWER_CAP_RTOL, Policy, PolicyKind, build_policy, decide
 from .queues import ArrivalBatch, ArrivalProcess, SystemState, update_real_queue, update_virtual_delay, update_virtual_power
-
-_POWER_CAP_RTOL = 1e-9
 
 
 @dataclass
@@ -138,7 +136,7 @@ def run(
 
     state = SystemState.initial(num_services)
     power_cap = radio.max_power
-    omega, epsilon = config.omega, config.epsilon
+    omega = config.omega
 
     power_sum = 0.0
     backlog_sum = [0] * num_services
@@ -147,9 +145,9 @@ def run(
 
     for t in range(horizon):
         channel = ChannelSample(slot=t, distance=distances[t], noise_equiv=noises[t], capacity_cap=caps[t])
-        action = decide(policy, state, channel, radio, omega, epsilon)
+        action = decide(policy, state, channel, radio, omega)
 
-        if action.power > power_cap * (1.0 + _POWER_CAP_RTOL):
+        if action.power > power_cap * (1.0 + POWER_CAP_RTOL):
             raise RuntimeError(f"slot {t}: power {action.power} exceeds the {power_cap} W cap")
         if action.served > action.capacity:
             raise RuntimeError(f"slot {t}: served {action.served} exceeds link capacity {action.capacity}")

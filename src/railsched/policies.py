@@ -24,8 +24,8 @@ from .solver import SlotInstance, greedy_allocation, solve_slot
 # Static power profiles must land their time average on the budget this tightly.
 _WFPA_BUDGET_RTOL = 1e-8
 
-# Slack for float round-off when comparing solver power against the cap.
-_POWER_CAP_RTOL = 1e-9
+# Slack for float round-off when comparing power against a cap (shared with the engine).
+POWER_CAP_RTOL = 1e-9
 
 
 class PolicyKind(enum.Enum):
@@ -133,7 +133,7 @@ def build_policy(kind: PolicyKind | str, avg_power: float, max_power: float, noi
         profile = wfpa_profile(noise_trajectory, avg_power)
     else:
         profile = cpa_profile(avg_power, len(noise_trajectory))
-    if profile.size and profile.max() > max_power * (1.0 + _POWER_CAP_RTOL):
+    if profile.size and profile.max() > max_power * (1.0 + POWER_CAP_RTOL):
         raise ValueError(f"static profile peaks at {profile.max():.6g} W, above the {max_power} W cap")
     return Policy(kind, profile)
 
@@ -144,18 +144,17 @@ def decide(
     channel: ChannelSample,
     radio: RadioParams,
     omega: float,
-    epsilon: float,
 ) -> ControlAction:
     """Choose the slot's action from the observed queue and channel state."""
     if policy.kind is PolicyKind.PROPOSED:
-        return _solve_action(state, channel.noise_equiv, channel.capacity_cap, radio.max_power, radio.eta, omega, epsilon)
+        return _solve_action(state, channel.noise_equiv, channel.capacity_cap, radio.max_power, radio.eta, omega)
 
     cap_power = float(policy.static_profile[channel.slot])
 
     if policy.kind.is_static:
         capacity = link_capacity(cap_power, channel.noise_equiv, radio.eta)
         served = min(capacity, sum(state.queues))
-        inst = _instance(state, channel.noise_equiv, float(capacity), 0.0, radio.eta, epsilon)
+        inst = _instance(state, channel.noise_equiv, float(capacity), 0.0, radio.eta)
         return ControlAction(power=cap_power, allocation=greedy_allocation(served, inst), capacity=capacity)
 
     # Dynamic CPA/WFPA: the precomputed power acts as this slot's cap.
@@ -164,10 +163,10 @@ def decide(
     cap_capacity = np.log2(1.0 + cap_power / channel.noise_equiv) / radio.eta
     if floor_eps(cap_capacity) <= 0:
         return ControlAction(power=0.0, allocation=[0] * len(state.queues), capacity=0)
-    return _solve_action(state, channel.noise_equiv, float(cap_capacity), cap_power, radio.eta, omega, epsilon)
+    return _solve_action(state, channel.noise_equiv, float(cap_capacity), cap_power, radio.eta, omega)
 
 
-def _instance(state: SystemState, noise: float, cap_capacity: float, beta: float, eta: float, epsilon: float) -> SlotInstance:
+def _instance(state: SystemState, noise: float, cap_capacity: float, beta: float, eta: float) -> SlotInstance:
     return SlotInstance(
         weights=tuple(state.virtual_delay),
         backlogs=tuple(state.queues),
@@ -175,7 +174,6 @@ def _instance(state: SystemState, noise: float, cap_capacity: float, beta: float
         eta=eta,
         noise_equiv=noise,
         capacity_cap=cap_capacity,
-        tolerance=epsilon,
     )
 
 
@@ -186,13 +184,12 @@ def _solve_action(
     cap_power: float,
     eta: float,
     omega: float,
-    epsilon: float,
 ) -> ControlAction:
     beta = omega * noise * sum(state.virtual_power)
-    solution = solve_slot(_instance(state, noise, cap_capacity, beta, eta, epsilon))
+    solution = solve_slot(_instance(state, noise, cap_capacity, beta, eta))
     power = solution.power
     if power > cap_power:
-        if power > cap_power * (1.0 + _POWER_CAP_RTOL):
+        if power > cap_power * (1.0 + POWER_CAP_RTOL):
             raise RuntimeError(f"solver power {power} exceeds the {cap_power} W cap")
         power = cap_power
     return ControlAction(power=power, allocation=list(solution.allocation), capacity=solution.capacity)

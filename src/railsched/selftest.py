@@ -1,9 +1,10 @@
 """Built-in oracle and property checks, runnable without the test suite.
 
-These are fast spot checks of the load-bearing guarantees: the search-based
-slot solver against exhaustive enumeration, greedy packet splitting against
-brute force, concavity of the slot objective, the capacity/power inverse,
-water-filling optimality conditions, and end-to-end determinism.
+These are fast spot checks of the load-bearing guarantees: the exact
+threshold slot solver against exhaustive enumeration, greedy packet
+splitting against brute force, concavity of the slot objective, the
+capacity/power inverse, water-filling optimality conditions, and end-to-end
+determinism.
 """
 
 from __future__ import annotations

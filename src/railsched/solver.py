@@ -10,11 +10,20 @@ the whole problem collapses to one variable:
 
 where M1(C) is the best weighted packet count at total capacity C (filled
 greedily in descending X_k) and M2(C) = beta * (2^(eta*C) - 1) is the
-weighted power cost.  M1 is piecewise linear with non-increasing slopes and
-M2 is convex, so M is concave: a golden-section search over the relaxed
-real C followed by comparing the two neighbouring integers is globally
-optimal.  `brute_force_slot` enumerates every integer C as an independent
-check of that whole chain.
+weighted power cost.  M1 is piecewise linear with non-increasing slopes
+(the sorted weights x_i), and the marginal cost of packet c+1,
+beta * 2^(eta*c) * (2^eta - 1), rises with c.  So the integer optimum is a
+threshold: take packets in descending-weight order while, on the current
+weight segment,
+
+    c < log2(x_i / (beta * (2^eta - 1))) / eta,
+
+then compare the integer neighbours of that point on the float objective,
+ties to the smaller C.  This is the same global optimum the paper reaches
+by golden-section search over the relaxed concave M(C) plus rounding, found
+exactly in one pass over the sorted weights, with no iteration and no
+stopping width.  `brute_force_slot` enumerates every integer C as an
+independent check of that whole chain.
 """
 
 from __future__ import annotations
@@ -23,10 +32,6 @@ import math
 from dataclasses import dataclass
 
 from .channel import floor_eps, power_for_capacity
-
-# Golden ratio phi = (sqrt(5) - 1) / 2; interior probes sit at
-# a + (1-phi)*(b-a) and a + phi*(b-a).
-GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Brute-force enumeration refuses instances beyond this many candidates.
 _BRUTE_FORCE_LIMIT = 100_000
@@ -50,7 +55,6 @@ class SlotInstance:
     eta: float
     noise_equiv: float
     capacity_cap: float
-    tolerance: float = 1e-3
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.backlogs):
@@ -67,8 +71,6 @@ class SlotInstance:
             raise ValueError("noise_equiv must be positive")
         if self.capacity_cap < 0:
             raise ValueError("capacity_cap must be non-negative")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
     @property
     def total_backlog(self) -> int:
@@ -154,75 +156,55 @@ def objective_value(capacity: float, inst: SlotInstance) -> float:
     return m1_value(capacity, inst) - m2_value(capacity, inst)
 
 
-def _search(inst: SlotInstance, xs: list[float], prefix: list[int]) -> float:
-    hi = min(float(prefix[-1]), inst.capacity_cap)
-    if hi <= 0.0:
-        return 0.0
-    beta, eta = inst.beta, inst.eta
-
-    def m(c: float) -> float:
-        return _m1(c, xs, prefix) - beta * (2.0 ** (eta * c) - 1.0)
-
-    phi = GOLDEN_RATIO
-    a, b = 0.0, hi
-    c1 = a + (1.0 - phi) * (b - a)
-    c2 = a + phi * (b - a)
-    f1, f2 = m(c1), m(c2)
-    tol = inst.tolerance
-    while b - a > tol:
-        if f1 >= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = a + (1.0 - phi) * (b - a)
-            f1 = m(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = m(c2)
-    return 0.5 * (a + b)
-
-
-def _round(relaxed: float, inst: SlotInstance, xs: list[float], prefix: list[int]) -> int:
+def _exact(inst: SlotInstance, xs: list[float], prefix: list[int]) -> tuple[int, float]:
+    # Threshold rule: packet c+1 gains its service weight x and costs
+    # beta * 2^(eta*c) * (2^eta - 1), so on each weight segment it is worth
+    # taking while c < (log2(x) - log2(beta * (2^eta - 1))) / eta.
     hi = min(prefix[-1], floor_eps(inst.capacity_cap))
     if hi <= 0:
-        return 0
+        return 0, 0.0
     beta, eta = inst.beta, inst.eta
-    lo_c = min(max(math.floor(relaxed), 0), hi)
-    hi_c = min(max(math.ceil(relaxed), 0), hi)
-    if lo_c == hi_c:
-        return lo_c
-    m_lo = _m1(float(lo_c), xs, prefix) - beta * (2.0 ** (eta * lo_c) - 1.0)
-    m_hi = _m1(float(hi_c), xs, prefix) - beta * (2.0 ** (eta * hi_c) - 1.0)
-    return lo_c if m_lo >= m_hi else hi_c
+    unit = beta * (2.0 ** eta - 1.0)
+    log_unit = math.log2(unit) if unit > 0.0 else 0.0
+    c = 0
+    for i, x in enumerate(xs):
+        if x <= 0.0 or c >= hi:
+            break
+        last = min(prefix[i + 1], hi)
+        if unit > 0.0:
+            bound = (math.log2(x) - log_unit) / eta
+            if not bound >= last:
+                if bound > c:
+                    c = math.ceil(bound)
+                break
+        c = last
 
+    # The float objective can disagree with the threshold by one packet near
+    # a tie; settle on the float optimum with the expression the oracle uses,
+    # stepping down on equality so ties go to the smaller C.
+    def m(n: int) -> float:
+        return _m1(float(n), xs, prefix) - beta * (2.0 ** (eta * n) - 1.0)
 
-def golden_section_search(inst: SlotInstance) -> float:
-    """Maximize the relaxed M(C) over [0, min(sum Q, capacity_cap)].
-
-    Concavity of M makes the bracket update safe; the loop runs until the
-    bracket is narrower than `tolerance` and returns its midpoint.
-    """
-    _, xs, prefix = _sorted_view(inst)
-    return _search(inst, xs, prefix)
-
-
-def integer_round(relaxed: float, inst: SlotInstance) -> int:
-    """Best feasible integer neighbour of the relaxed maximizer, ties to smaller C."""
-    _, xs, prefix = _sorted_view(inst)
-    return _round(relaxed, inst, xs, prefix)
+    best = m(c)
+    while c < hi and (up := m(c + 1)) > best:
+        c, best = c + 1, up
+    while c > 0 and (down := m(c - 1)) >= best:
+        c, best = c - 1, down
+    return c, best
 
 
 def solve_slot(inst: SlotInstance) -> SlotSolution:
-    """Full slot solve: search, round, then price and split the winning capacity."""
+    """Full slot solve: exact integer optimum, then price and split it."""
     order, xs, prefix = _sorted_view(inst)
-    c_star = _round(_search(inst, xs, prefix), inst, xs, prefix)
-    return _solution_at(c_star, inst, order, xs, prefix)
+    c_star, objective = _exact(inst, xs, prefix)
+    return _solution_at(c_star, objective, inst, order, prefix)
 
 
 def brute_force_slot(inst: SlotInstance) -> SlotSolution:
     """Independent oracle: enumerate every feasible integer capacity.
 
-    Shares only the greedy M1 evaluation with `solve_slot`; no search, no
-    rounding argument, no concavity assumption.
+    Shares only the greedy M1 evaluation with `solve_slot`; no threshold
+    rule, no concavity assumption.
     """
     order, xs, prefix = _sorted_view(inst)
     hi = min(prefix[-1], floor_eps(inst.capacity_cap))
@@ -234,13 +216,12 @@ def brute_force_slot(inst: SlotInstance) -> SlotSolution:
         val = _m1(float(c), xs, prefix) - beta * (2.0 ** (eta * c) - 1.0)
         if val > best_val:
             best_c, best_val = c, val
-    return _solution_at(best_c, inst, order, xs, prefix)
+    return _solution_at(best_c, best_val, inst, order, prefix)
 
 
-def _solution_at(capacity: int, inst: SlotInstance, order: list[int], xs: list[float], prefix: list[int]) -> SlotSolution:
+def _solution_at(capacity: int, objective: float, inst: SlotInstance, order: list[int], prefix: list[int]) -> SlotSolution:
     mu = [0] * len(inst.weights)
     for i, k in enumerate(order):
         mu[k] = min(max(capacity - prefix[i], 0), inst.backlogs[k])
     power = power_for_capacity(float(capacity), inst.noise_equiv, inst.eta)
-    objective = _m1(float(capacity), xs, prefix) - inst.beta * (2.0 ** (inst.eta * capacity) - 1.0)
     return SlotSolution(capacity=capacity, power=power, allocation=tuple(mu), objective=objective)

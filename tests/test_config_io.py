@@ -87,6 +87,19 @@ class TestLoading:
         with pytest.raises(ConfigError, match="bandwidht"):
             load_config(path)
 
+    def test_epsilon_rejected(self, tmp_path):
+        # the slot solve is exact, so the old search-width knob is an unknown key
+        path = tmp_path / "eps.ini"
+        path.write_text("[control]\nepsilon = 0.001\n")
+        with pytest.raises(ConfigError, match=r"control\.epsilon"):
+            load_config(path)
+        with pytest.raises(ConfigError, match=r"control\.epsilon"):
+            load_config(**{"control.epsilon": 0.001})
+        with pytest.raises(ConfigError, match="epsilon"):
+            load_config(epsilon=0.001)
+        with pytest.raises(ConfigError, match="epsilon"):
+            with_updates(default_config(), epsilon=0.001)
+
     def test_bad_policy_rejected(self, tmp_path):
         path = tmp_path / "pol.ini"
         path.write_text("[run]\npolicy = psychic\n")

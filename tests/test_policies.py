@@ -104,7 +104,7 @@ class TestDecide:
         channel = channel_sample(0, CONFIG.geometry, CONFIG.radio)
         state = _state([0] * 6, [0.0] * 6)
         policy = build_policy("proposed", 36.0, 50.0, np.ones(1))
-        action = decide(policy, state, channel, CONFIG.radio, CONFIG.omega, CONFIG.epsilon)
+        action = decide(policy, state, channel, CONFIG.radio, CONFIG.omega)
         assert action.power == 0.0
         assert action.allocation == [0] * 6
         assert action.served == 0
@@ -113,7 +113,7 @@ class TestDecide:
         channel = channel_sample(0, CONFIG.geometry, CONFIG.radio)
         state = _state([0] * 6, [0.0] * 6)
         policy = build_policy("cpa-static", 36.0, 50.0, np.ones(1))
-        action = decide(policy, state, channel, CONFIG.radio, CONFIG.omega, CONFIG.epsilon)
+        action = decide(policy, state, channel, CONFIG.radio, CONFIG.omega)
         assert action.power == 36.0
         assert action.served == 0
 
@@ -123,7 +123,7 @@ class TestDecide:
         policy = build_policy("cpa-static", 36.0, 50.0, np.ones(1))
         for queues in ([0] * 6, [3] * 6, [900] * 6):
             state = _state(queues, [1.0] * 6)
-            action = decide(policy, state, channel, CONFIG.radio, CONFIG.omega, CONFIG.epsilon)
+            action = decide(policy, state, channel, CONFIG.radio, CONFIG.omega)
             assert action.power == 36.0
             assert action.capacity == 585
             assert action.served == min(585, sum(queues))
@@ -141,8 +141,8 @@ class TestDecide:
             y = float(rng.uniform(0, 50))
             chan_dyn = channel_sample(t, CONFIG.geometry, CONFIG.radio)
             chan_prop = channel_sample(t, CONFIG.geometry, radio36)
-            a = decide(dyn, _state(queues, weights, y), chan_dyn, CONFIG.radio, 0.8, 1e-3)
-            b = decide(prop, _state(queues, weights, y), chan_prop, radio36, 0.8, 1e-3)
+            a = decide(dyn, _state(queues, weights, y), chan_dyn, CONFIG.radio, 0.8)
+            b = decide(prop, _state(queues, weights, y), chan_prop, radio36, 0.8)
             assert a.allocation == b.allocation
             assert a.capacity == b.capacity
             assert a.power == pytest.approx(b.power, rel=1e-12)
@@ -151,7 +151,7 @@ class TestDecide:
         policy = Policy(PolicyKind.DYNAMIC_CPA, static_profile=np.zeros(5))
         channel = channel_sample(2, CONFIG.geometry, CONFIG.radio)
         state = _state([10] * 6, [5.0] * 6)
-        action = decide(policy, state, channel, CONFIG.radio, 0.8, 1e-3)
+        action = decide(policy, state, channel, CONFIG.radio, 0.8)
         assert action.power == 0.0
         assert action.served == 0
 
@@ -168,8 +168,8 @@ class TestDecide:
         channel = channel_sample(slot, CONFIG.geometry, CONFIG.radio)
         prop = build_policy("proposed", 36.0, 50.0, np.ones(30000))
         dyn = build_policy("cpa-dynamic", 36.0, 50.0, np.ones(30000))
-        a = decide(prop, _state(queues, weights, y), channel, CONFIG.radio, 0.8, 1e-3)
-        b = decide(dyn, _state(queues, weights, y), channel, CONFIG.radio, 0.8, 1e-3)
+        a = decide(prop, _state(queues, weights, y), channel, CONFIG.radio, 0.8)
+        b = decide(dyn, _state(queues, weights, y), channel, CONFIG.radio, 0.8)
         inst = SlotInstance(
             weights=tuple(weights),
             backlogs=tuple(queues),
@@ -177,7 +177,6 @@ class TestDecide:
             eta=CONFIG.radio.eta,
             noise_equiv=channel.noise_equiv,
             capacity_cap=channel.capacity_cap,
-            tolerance=1e-3,
         )
         assert objective_value(float(a.served), inst) >= objective_value(float(b.served), inst) - 1e-9
 

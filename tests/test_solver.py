@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 
 from railsched.channel import link_capacity, power_for_capacity
 from railsched.solver import (
-    GOLDEN_RATIO,
     SlotInstance,
     brute_force_slot,
-    golden_section_search,
     greedy_allocation,
-    integer_round,
     m1_value,
     m2_value,
     objective_value,
@@ -24,7 +21,7 @@ from railsched.solver import (
 ETA = 0.048
 
 
-def make_instance(weights, backlogs, beta=0.0, capacity_cap=1e4, noise=1.0, tolerance=1e-3):
+def make_instance(weights, backlogs, beta=0.0, capacity_cap=1e4, noise=1.0):
     return SlotInstance(
         weights=tuple(float(w) for w in weights),
         backlogs=tuple(int(q) for q in backlogs),
@@ -32,7 +29,6 @@ def make_instance(weights, backlogs, beta=0.0, capacity_cap=1e4, noise=1.0, tole
         eta=ETA,
         noise_equiv=noise,
         capacity_cap=float(capacity_cap),
-        tolerance=tolerance,
     )
 
 
@@ -157,60 +153,6 @@ class TestObjectivePieces:
             assert values[c + 1] - 2.0 * values[c] + values[c - 1] <= 1e-9
 
 
-class TestGoldenSection:
-    def test_golden_ratio_constant(self):
-        assert GOLDEN_RATIO == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-15)
-
-    def test_empty_backlog(self):
-        assert golden_section_search(make_instance([1.0], [0], beta=1.0)) == 0.0
-
-    def test_interior_stationary_point(self):
-        # stationarity of the relaxed objective: 2^(eta*C) = X / (beta * eta * ln 2)
-        inst = make_instance([1.0], [1000], beta=10.0, capacity_cap=1e4)
-        analytic = math.log2(1.0 / (10.0 * ETA * math.log(2.0))) / ETA
-        assert analytic == pytest.approx(33.07625129163472, rel=1e-12)
-        assert golden_section_search(inst) == pytest.approx(analytic, abs=2e-3)
-
-    def test_boundary_maximizer(self):
-        # stationary point ~379 sits beyond the backlog; search pins the boundary
-        inst = make_instance([10.0], [100], beta=1e-3, capacity_cap=1e4)
-        analytic = math.log2(10.0 / (1e-3 * ETA * math.log(2.0))) / ETA
-        assert analytic > 100.0
-        assert golden_section_search(inst) == pytest.approx(100.0, abs=2e-3)
-
-    def test_bracket_shrink_rate(self):
-        # the bracket shrinks by phi each iteration, so a width-600 interval
-        # needs ceil(log(600/1e-3)/log(1/phi)) = 28 steps; the result must sit
-        # within the final bracket of the true maximizer
-        width, eps = 600.0, 1e-3
-        iters = math.ceil(math.log(width / eps) / math.log(1.0 / GOLDEN_RATIO))
-        assert iters == 28
-        inst = make_instance([1.0] * 4, [150] * 4, beta=1.0, capacity_cap=600.0)
-        relaxed = golden_section_search(inst)
-        analytic = math.log2(1.0 / (1.0 * ETA * math.log(2.0))) / ETA
-        assert relaxed == pytest.approx(analytic, abs=2e-3)
-
-
-class TestIntegerRound:
-    def test_rounds_down_when_better(self):
-        inst = make_instance([1.0], [1000], beta=10.0, capacity_cap=1e4)
-        assert integer_round(33.07625129163472, inst) == 33
-
-    def test_integer_passthrough(self):
-        inst = make_instance([1.0], [1000], beta=1e-9, capacity_cap=1e4)
-        assert integer_round(40.0, inst) == 40
-
-    def test_clamps_to_capacity_floor(self):
-        inst = make_instance([10.0], [1000], beta=1e-9, capacity_cap=100.7)
-        assert integer_round(100.69, inst) == 100
-
-    def test_tie_breaks_to_smaller(self):
-        # beta = 0 and a weight-0 tail service: M is flat past the backlog of
-        # the valuable one, so floor and ceil tie inside the plateau.
-        inst = make_instance([5.0, 0.0], [3, 4], beta=0.0)
-        assert integer_round(5.5, inst) == 5
-
-
 class TestSolveSlot:
     def test_all_empty(self):
         sol = solve_slot(make_instance([1.0, 1.0], [0, 0], beta=1.0))
@@ -238,9 +180,48 @@ class TestSolveSlot:
         assert sol.allocation == (30, 40)
 
     def test_single_service_known_optimum(self):
+        # the relaxed stationary point 2^(eta*C) = X / (beta * eta * ln 2) sits
+        # at C = 33.076, and M(33) > M(34): the integer optimum is its floor
         inst = make_instance([1.0], [1000], beta=10.0, capacity_cap=1e4)
+        analytic = math.log2(1.0 / (10.0 * ETA * math.log(2.0))) / ETA
+        assert analytic == pytest.approx(33.07625129163472, rel=1e-12)
+        assert objective_value(33.0, inst) > objective_value(34.0, inst)
         assert solve_slot(inst).capacity == 33
         assert brute_force_slot(inst).capacity == 33
+
+    def test_boundary_maximizer(self):
+        # the stationary point (~379) lies beyond the backlog, so the whole
+        # backlog is served
+        inst = make_instance([10.0], [100], beta=1e-3, capacity_cap=1e4)
+        assert math.log2(10.0 / (1e-3 * ETA * math.log(2.0))) / ETA > 100.0
+        assert solve_slot(inst).capacity == 100
+
+    def test_beta_zero_tie_goes_to_smaller(self):
+        # beta = 0 and a weight-0 tail service: M is flat past the backlog of
+        # the valuable service, so every C in [3, 7] ties and C = 3 wins
+        inst = make_instance([5.0, 0.0], [3, 4], beta=0.0)
+        fast, slow = solve_slot(inst), brute_force_slot(inst)
+        assert fast.capacity == slow.capacity == 3
+        assert fast.allocation == slow.allocation == (3, 0)
+
+    @pytest.mark.parametrize("cap, expected", [(100.7, 100), (100.0 - 1e-12, 100)], ids=["fractional", "round-off"])
+    def test_capacity_cap_floor(self, cap, expected):
+        # a nearly free, valuable backlog is served up to the floor of the
+        # cap; round-off just below an integer does not lose a packet
+        inst = make_instance([10.0], [1000], beta=1e-9, capacity_cap=cap)
+        assert solve_slot(inst).capacity == expected
+        assert brute_force_slot(inst).capacity == expected
+
+    def test_extreme_weight_to_price_ratio(self):
+        # log2(x / (beta * (2^eta - 1))) is huge or the price underflows to 0;
+        # the solve must neither overflow nor lose the oracle's answer
+        for beta in (5e-324, 1e-310):
+            inst = make_instance([1e300, 5e299, 0.0], [50, 40, 7], beta=beta)
+            fast, slow = solve_slot(inst), brute_force_slot(inst)
+            assert fast.capacity == slow.capacity == 90
+            assert fast.allocation == slow.allocation == (50, 40, 0)
+        inst = make_instance([5e-324, 1e-320], [5, 5], beta=1e300)
+        assert solve_slot(inst).capacity == brute_force_slot(inst).capacity == 0
 
     @settings(max_examples=200, deadline=None)
     @given(instances())
@@ -248,6 +229,30 @@ class TestSolveSlot:
         fast, slow = solve_slot(inst), brute_force_slot(inst)
         scale = max(1.0, abs(slow.objective))
         assert abs(fast.objective - slow.objective) / scale <= 1e-9
+        assert fast.capacity == slow.capacity
+        assert fast.allocation == slow.allocation
+
+    def test_oracle_equivalence_at_near_ties(self):
+        # weights placed on (or one ulp either side of) the marginal cost of
+        # some packet, where the closed-form threshold and the float objective
+        # can disagree by one packet in either direction
+        rng = random.Random(11)
+        for _ in range(3000):
+            eta = rng.choice([ETA, 0.25, 0.5, 1.0])
+            beta = rng.choice([1.0, 3.0, 10.0 ** rng.uniform(-3.0, 1.0)])
+            tie = beta * (2.0 ** eta - 1.0) * 2.0 ** (eta * rng.randint(0, 20))
+            k = rng.randint(1, 4)
+            weights = [rng.choice([tie, tie * (1 + 1e-16), tie * (1 - 1e-16), rng.uniform(0, 10)]) for _ in range(k)]
+            inst = SlotInstance(
+                weights=tuple(weights),
+                backlogs=tuple(rng.randint(0, 25) for _ in range(k)),
+                beta=beta,
+                eta=eta,
+                noise_equiv=1.0,
+                capacity_cap=rng.choice([1e4, rng.uniform(0.0, 60.0)]),
+            )
+            fast, slow = solve_slot(inst), brute_force_slot(inst)
+            assert (fast.capacity, fast.allocation, fast.objective) == (slow.capacity, slow.allocation, slow.objective), inst
 
     @settings(max_examples=100, deadline=None)
     @given(instances(max_services=6, max_backlog=30))
@@ -290,5 +295,3 @@ def test_instance_validation():
         make_instance([1.0], [-1])
     with pytest.raises(ValueError):
         make_instance([1.0], [1], beta=-1.0)
-    with pytest.raises(ValueError):
-        SlotInstance((1.0,), (1,), 0.0, ETA, 1.0, 10.0, tolerance=0.0)
