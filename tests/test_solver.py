@@ -153,6 +153,32 @@ class TestObjectivePieces:
             assert values[c + 1] - 2.0 * values[c] + values[c - 1] <= 1e-9
 
 
+class TestGoldenSection:
+    """Cases first written for the golden-section search over the relaxed
+    objective; the exact solve replaced that search and answers them now."""
+
+    def test_empty_backlog(self):
+        sol = solve_slot(make_instance([1.0], [0], beta=1.0))
+        assert sol.capacity == 0
+        assert sol.objective == 0.0
+
+    def test_interior_stationary_point(self):
+        # stationarity of the relaxed objective: 2^(eta*C) = X / (beta * eta * ln 2);
+        # the integer optimum is one of its two integer neighbours
+        inst = make_instance([1.0], [1000], beta=10.0, capacity_cap=1e4)
+        analytic = math.log2(1.0 / (10.0 * ETA * math.log(2.0))) / ETA
+        assert analytic == pytest.approx(33.07625129163472, rel=1e-12)
+        assert solve_slot(inst).capacity in (math.floor(analytic), math.ceil(analytic))
+
+
+class TestIntegerRound:
+    def test_rounds_down_when_better(self):
+        # M(33) > M(34), so the optimum is the floor of the stationary point 33.076
+        inst = make_instance([1.0], [1000], beta=10.0, capacity_cap=1e4)
+        assert objective_value(33.0, inst) > objective_value(34.0, inst)
+        assert solve_slot(inst).capacity == 33
+
+
 class TestSolveSlot:
     def test_all_empty(self):
         sol = solve_slot(make_instance([1.0, 1.0], [0, 0], beta=1.0))
@@ -180,12 +206,7 @@ class TestSolveSlot:
         assert sol.allocation == (30, 40)
 
     def test_single_service_known_optimum(self):
-        # the relaxed stationary point 2^(eta*C) = X / (beta * eta * ln 2) sits
-        # at C = 33.076, and M(33) > M(34): the integer optimum is its floor
         inst = make_instance([1.0], [1000], beta=10.0, capacity_cap=1e4)
-        analytic = math.log2(1.0 / (10.0 * ETA * math.log(2.0))) / ETA
-        assert analytic == pytest.approx(33.07625129163472, rel=1e-12)
-        assert objective_value(33.0, inst) > objective_value(34.0, inst)
         assert solve_slot(inst).capacity == 33
         assert brute_force_slot(inst).capacity == 33
 
