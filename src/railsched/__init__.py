@@ -6,7 +6,6 @@ a deterministic simulation engine, and an experiment harness.
 """
 
 from .channel import (
-    ChannelSample,
     Geometry,
     RadioParams,
     capacity_cap,
@@ -17,15 +16,11 @@ from .channel import (
 )
 from .config import ConfigError, ScenarioConfig, default_config, load_config, with_updates
 from .engine import PacketDelayTracker, SimSummary, Trace, replay_check, run, summarize
-from .policies import ControlAction, Policy, PolicyKind, build_policy, cpa_profile, decide, wfpa_profile
+from .policies import Policy, PolicyKind, build_policy, cpa_profile, decide, wfpa_profile
 from .queues import (
-    ArrivalBatch,
     ArrivalProcess,
     SystemState,
     TrafficParams,
-    drift_constant,
-    lyapunov_value,
-    penalty_value,
     update_real_queue,
     update_virtual_delay,
     update_virtual_power,

@@ -89,16 +89,6 @@ class RadioParams:
             raise ValueError("RadioParams.max_power must be non-negative")
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """Per-slot derived channel state."""
-
-    slot: int
-    distance: float  # d(t), m
-    noise_equiv: float  # N(t) = B * N0 * d^alpha, W
-    capacity_cap: float  # (1/eta) * log2(1 + max_power / N), real packets
-
-
 def distance_at(slot: int, geom: Geometry) -> float:
     """BS-receiver distance at the start of `slot`, nearest-BS association.
 
@@ -169,9 +159,3 @@ def capacity_cap_profile(noises: np.ndarray, max_power: float, eta: float) -> np
     """Vectorized `capacity_cap` for an arbitrary power cap."""
     return np.log2(1.0 + max_power / np.asarray(noises, dtype=np.float64)) / eta
 
-
-def channel_sample(slot: int, geom: Geometry, radio: RadioParams) -> ChannelSample:
-    """Derived channel state for one slot."""
-    d = distance_at(slot, geom)
-    n = noise_equiv(d, radio)
-    return ChannelSample(slot=slot, distance=d, noise_equiv=n, capacity_cap=capacity_cap(radio, n))

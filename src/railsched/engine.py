@@ -19,10 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelSample, capacity_cap_profile, distance_profile, noise_profile
+from .channel import capacity_cap_profile, distance_profile, noise_profile
 from .config import ScenarioConfig
 from .policies import POWER_CAP_RTOL, Policy, PolicyKind, build_policy, decide
-from .queues import ArrivalBatch, ArrivalProcess, SystemState, update_real_queue, update_virtual_delay, update_virtual_power
+from .queues import ArrivalProcess, SystemState, update_real_queue, update_virtual_delay, update_virtual_power
 
 
 @dataclass
@@ -39,7 +39,7 @@ class Trace:
     allocation: np.ndarray  # (T, K)
     queues: np.ndarray  # (T, K) Q_k at slot start
     virtual_delay: np.ndarray  # (T, K) X_k at slot start
-    virtual_power: np.ndarray  # (T,) Y at slot start (components provably equal)
+    virtual_power: np.ndarray  # (T,) Y at slot start (one power virtual queue)
     drops: np.ndarray  # (T,) packets dropped to the buffer cap this slot
 
     def __len__(self) -> int:
@@ -135,8 +135,12 @@ def run(
         )
 
     state = SystemState.initial(num_services)
-    power_cap = radio.max_power
+    power_limit = radio.max_power * (1.0 + POWER_CAP_RTOL)
     omega = config.omega
+    # Zero-copy views whose items are Python floats, so the slot arithmetic
+    # never touches numpy scalars.
+    noise_at = memoryview(noises)
+    cap_at = memoryview(caps)
 
     power_sum = 0.0
     backlog_sum = [0] * num_services
@@ -144,48 +148,39 @@ def run(
     drop_sum = [0] * num_services
 
     for t in range(horizon):
-        channel = ChannelSample(slot=t, distance=distances[t], noise_equiv=noises[t], capacity_cap=caps[t])
-        action = decide(policy, state, channel, radio, omega)
+        power, allocation, capacity = decide(policy, state, t, noise_at[t], cap_at[t], radio, omega)
+        served = sum(allocation)
 
-        if action.power > power_cap * (1.0 + POWER_CAP_RTOL):
-            raise RuntimeError(f"slot {t}: power {action.power} exceeds the {power_cap} W cap")
-        if action.served > action.capacity:
-            raise RuntimeError(f"slot {t}: served {action.served} exceeds link capacity {action.capacity}")
+        if power > power_limit:
+            raise RuntimeError(f"slot {t}: power {power} exceeds the {radio.max_power} W cap")
+        if served > capacity:
+            raise RuntimeError(f"slot {t}: served {served} exceeds link capacity {capacity}")
 
         if record_trace:
-            trace.power[t] = action.power
-            trace.capacity[t] = action.capacity
-            trace.served[t] = action.served
-            for k in range(num_services):
-                trace.allocation[t, k] = action.allocation[k]
-                trace.queues[t, k] = state.queues[k]
-                trace.virtual_delay[t, k] = state.virtual_delay[k]
-            trace.virtual_power[t] = state.virtual_power[0]
+            trace.power[t] = power
+            trace.capacity[t] = capacity
+            trace.served[t] = served
+            trace.allocation[t] = allocation
+            trace.queues[t] = state.queues
+            trace.virtual_delay[t] = state.virtual_delay
+            trace.virtual_power[t] = state.virtual_power
 
-        power_sum += action.power
-        for k in range(num_services):
-            backlog_sum[k] += state.queues[k]
+        power_sum += power
+        backlog_sum = [b + q for b, q in zip(backlog_sum, state.queues)]
 
-        batch = ArrivalBatch(counts=[int(a) for a in arrivals_all[t]])
-        update_real_queue(state, action.allocation, batch, traffic)
+        counts = arrivals_all[t].tolist()
+        drops = update_real_queue(state, allocation, counts, traffic)
         update_virtual_delay(state, traffic)
-        update_virtual_power(state, action.power, traffic)
+        update_virtual_power(state, power, traffic)
         state.slot = t + 1
 
-        # The per-service power queues follow identical recursions; any split
-        # would mean corrupted state.
-        if state.virtual_power.count(state.virtual_power[0]) != num_services:
-            raise RuntimeError(f"slot {t}: virtual power queue components diverged")
-
-        dropped_total = 0
-        for k in range(num_services):
-            admitted_sum[k] += batch.counts[k] - batch.dropped[k]
-            drop_sum[k] += batch.dropped[k]
-            dropped_total += batch.dropped[k]
+        admitted = [c - d for c, d in zip(counts, drops)]
+        admitted_sum = [s + a for s, a in zip(admitted_sum, admitted)]
+        drop_sum = [s + d for s, d in zip(drop_sum, drops)]
         if record_trace:
-            trace.drops[t] = dropped_total
+            trace.drops[t] = sum(drops)
         if packet_tracker is not None:
-            packet_tracker.on_slot(t, action.allocation, [c - d for c, d in zip(batch.counts, batch.dropped)])
+            packet_tracker.on_slot(t, allocation, admitted)
 
     summary = _summary_from_totals(power_sum, backlog_sum, admitted_sum, drop_sum, horizon, traffic)
     return trace, summary

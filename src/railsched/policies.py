@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelSample, RadioParams, floor_eps, link_capacity
+from .channel import RadioParams, floor_eps, link_capacity
 from .queues import SystemState
 from .solver import SlotInstance, greedy_allocation, solve_slot
 
@@ -45,24 +45,6 @@ class PolicyKind(enum.Enum):
 
 
 POLICY_NAMES = {kind.value: kind for kind in PolicyKind}
-
-
-@dataclass(frozen=True)
-class ControlAction:
-    """One slot's decision: transmit power, per-service packets, link capacity.
-
-    `capacity` is the packet count the link carries at `power`; the solver
-    policies always fill it exactly, the static ones may leave it partly
-    unused when the backlog runs out.
-    """
-
-    power: float
-    allocation: list[int]
-    capacity: int
-
-    @property
-    def served(self) -> int:
-        return sum(self.allocation)
 
 
 @dataclass(frozen=True)
@@ -141,29 +123,41 @@ def build_policy(kind: PolicyKind | str, avg_power: float, max_power: float, noi
 def decide(
     policy: Policy,
     state: SystemState,
-    channel: ChannelSample,
+    slot: int,
+    noise: float,
+    capacity_cap: float,
     radio: RadioParams,
     omega: float,
-) -> ControlAction:
-    """Choose the slot's action from the observed queue and channel state."""
-    if policy.kind is PolicyKind.PROPOSED:
-        return _solve_action(state, channel.noise_equiv, channel.capacity_cap, radio.max_power, radio.eta, omega)
+) -> tuple[float, list[int], int]:
+    """Choose slot `slot`'s action from the observed queues and channel.
 
-    cap_power = float(policy.static_profile[channel.slot])
+    `noise` is the slot's noise-equivalent power N(t) and `capacity_cap` the
+    real-valued packet cap at the instantaneous power cap.  Returns
+    `(power, allocation, capacity)`: the transmit power, the packets sent
+    per service, and the packet count the link carries at that power.  The
+    solver policies always fill `capacity` exactly; the static ones may
+    leave it partly unused when the backlog runs out.
+    """
+    kind = policy.kind
+    if kind is PolicyKind.PROPOSED:
+        return _solve_action(state, noise, capacity_cap, radio.max_power, radio.eta, omega)
 
-    if policy.kind.is_static:
-        capacity = link_capacity(cap_power, channel.noise_equiv, radio.eta)
+    cap_power = float(policy.static_profile[slot])
+
+    if kind.is_static:
+        capacity = link_capacity(cap_power, noise, radio.eta)
         served = min(capacity, sum(state.queues))
-        inst = _instance(state, channel.noise_equiv, float(capacity), 0.0, radio.eta)
-        return ControlAction(power=cap_power, allocation=greedy_allocation(served, inst), capacity=capacity)
+        inst = _instance(state, noise, float(capacity), 0.0, radio.eta)
+        return cap_power, greedy_allocation(served, inst), capacity
 
     # Dynamic CPA/WFPA: the precomputed power acts as this slot's cap.
     if cap_power <= 0.0:
-        return ControlAction(power=0.0, allocation=[0] * len(state.queues), capacity=0)
-    cap_capacity = np.log2(1.0 + cap_power / channel.noise_equiv) / radio.eta
+        return 0.0, [0] * len(state.queues), 0
+    # numpy log2, as in `capacity_cap_profile`; math.log2 differs from it in the last ulp for some inputs.
+    cap_capacity = float(np.log2(1.0 + cap_power / noise)) / radio.eta
     if floor_eps(cap_capacity) <= 0:
-        return ControlAction(power=0.0, allocation=[0] * len(state.queues), capacity=0)
-    return _solve_action(state, channel.noise_equiv, float(cap_capacity), cap_power, radio.eta, omega)
+        return 0.0, [0] * len(state.queues), 0
+    return _solve_action(state, noise, cap_capacity, cap_power, radio.eta, omega)
 
 
 def _instance(state: SystemState, noise: float, cap_capacity: float, beta: float, eta: float) -> SlotInstance:
@@ -184,12 +178,13 @@ def _solve_action(
     cap_power: float,
     eta: float,
     omega: float,
-) -> ControlAction:
-    beta = omega * noise * sum(state.virtual_power)
+) -> tuple[float, list[int], int]:
+    # Every service prices the one power queue Y, so the price is K * Y.
+    beta = omega * noise * (len(state.queues) * state.virtual_power)
     solution = solve_slot(_instance(state, noise, cap_capacity, beta, eta))
     power = solution.power
     if power > cap_power:
         if power > cap_power * (1.0 + POWER_CAP_RTOL):
             raise RuntimeError(f"solver power {power} exceeds the {cap_power} W cap")
         power = cap_power
-    return ControlAction(power=power, allocation=list(solution.allocation), capacity=solution.capacity)
+    return power, list(solution.allocation), solution.capacity

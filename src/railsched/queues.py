@@ -6,15 +6,18 @@ The real queue of service k evolves as
 
 and two virtual accumulators turn the long-run constraints into queue
 stability: X_k gains the fresh backlog Q_k(t+1) each slot and drains by the
-delay budget W_k * lambda_k, Y_k gains the spent power and drains by the
+delay budget W_k * lambda_k, Y gains the spent power and drains by the
 average-power budget.  Keeping X and Y from growing linearly is exactly what
 keeps average delay below W_k and average power below the budget.
+
+The updates work on plain Python lists and floats, one slot at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,41 +58,29 @@ class TrafficParams:
     def num_services(self) -> int:
         return len(self.arrival_rates)
 
+    @cached_property
+    def delay_drains(self) -> tuple[float, ...]:
+        """Per-slot drain W_k * lambda_k of each delay virtual queue."""
+        return tuple(w * r for w, r in zip(self.delay_bounds, self.arrival_rates))
+
 
 @dataclass
 class SystemState:
     """Mutable per-slot state: real queues Q, virtual queues X and Y.
 
-    Y is kept as one value per service even though the recursions are
-    identical for every k; the simulation engine asserts the components
-    stay equal.
+    The power constraint is one constraint on the shared transmitter, so
+    there is one power virtual queue Y; the drift bound prices it once per
+    service, which the policies fold into a price proportional to K * Y.
     """
 
     queues: list[int]
     virtual_delay: list[float]
-    virtual_power: list[float]
+    virtual_power: float
     slot: int = 0
 
     @classmethod
     def initial(cls, num_services: int) -> "SystemState":
-        return cls(
-            queues=[0] * num_services,
-            virtual_delay=[0.0] * num_services,
-            virtual_power=[0.0] * num_services,
-            slot=0,
-        )
-
-
-@dataclass
-class ArrivalBatch:
-    """One slot of arrivals; `dropped` is filled in by the queue update."""
-
-    counts: list[int]
-    dropped: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.dropped:
-            self.dropped = [0] * len(self.counts)
+        return cls(queues=[0] * num_services, virtual_delay=[0.0] * num_services, virtual_power=0.0, slot=0)
 
 
 def _cdf_table(rate: float) -> list[float]:
@@ -111,9 +102,9 @@ def _cdf_table(rate: float) -> list[float]:
 class ArrivalProcess:
     """Seeded Poisson arrival streams, one independent substream per service.
 
-    Draws use CDF inversion by sequential search (one uniform per draw), so
-    sequences are bit-identical across platforms and identical whether sampled
-    slot by slot or pre-generated for a whole horizon.
+    Draws use CDF inversion (one uniform per draw), so sequences are
+    bit-identical across platforms: a table lookup covers all but the last
+    1e-16 of the mass, and `_invert` continues the term recurrence past it.
     """
 
     def __init__(self, rates: tuple[float, ...], master_seed: int):
@@ -147,21 +138,11 @@ class ArrivalProcess:
             total += term
         return k
 
-    def sample(self) -> ArrivalBatch:
-        """Draw one slot of arrivals, consuming one uniform per chunk per service."""
-        counts = []
-        for (n_chunks, chunk_rate, table), stream in zip(self._chunks, self._streams):
-            c = 0
-            for _ in range(n_chunks):
-                c += self._invert(stream.random(), chunk_rate, table)
-            counts.append(c)
-        return ArrivalBatch(counts=counts)
-
     def sample_horizon(self, num_slots: int) -> np.ndarray:
         """Arrival counts for slots 0..num_slots-1, shape (num_slots, K).
 
-        Produces exactly the sequence `sample` would, but inverts whole
-        uniform blocks at once.
+        Each service inverts one block of uniforms from its own stream, one
+        uniform per chunk per slot, in slot order.
         """
         out = np.zeros((num_slots, len(self.rates)), dtype=np.int64)
         for k, ((n_chunks, chunk_rate, table), stream) in enumerate(zip(self._chunks, self._streams)):
@@ -177,82 +158,44 @@ class ArrivalProcess:
         return out
 
 
-def update_real_queue(state: SystemState, allocation: list[int], batch: ArrivalBatch, params: TrafficParams) -> SystemState:
-    """Apply one slot of service and arrivals to the real queues.
+def update_real_queue(state: SystemState, allocation, arrivals: list[int], params: TrafficParams) -> list[int]:
+    """Apply one slot of service and arrivals to the real queues; return the per-service drops.
 
-    Overflow beyond `buffer_cap` is counted into `batch.dropped`, never
-    silently discarded.  Serving more than the current backlog is a caller
-    bug and raises.
+    Overflow beyond `buffer_cap` is returned as drops, never silently
+    discarded.  Serving more than the current backlog is a caller bug and
+    raises before any queue changes.
     """
     cap = params.buffer_cap
-    for k, (q, mu) in enumerate(zip(state.queues, allocation)):
-        if mu < 0 or mu > q:
+    queues = state.queues
+    nxt: list[int] = []
+    drops: list[int] = []
+    for q, mu, a in zip(queues, allocation, arrivals):
+        if not 0 <= mu <= q:
+            k = len(nxt)
             raise ValueError(f"allocation[{k}]={mu} outside [0, Q_{k}={q}]")
-    for k, (q, mu, a) in enumerate(zip(state.queues, allocation, batch.counts)):
-        nxt = q - mu + a
-        if nxt > cap:
-            batch.dropped[k] = nxt - cap
-            nxt = cap
+        n = q - mu + a
+        if n > cap:
+            drops.append(n - cap)
+            n = cap
         else:
-            batch.dropped[k] = 0
-        state.queues[k] = nxt
-    return state
+            drops.append(0)
+        nxt.append(n)
+    queues[:] = nxt
+    return drops
 
 
 def update_virtual_delay(state: SystemState, params: TrafficParams) -> SystemState:
     """X_k <- max(X_k - W_k * lambda_k, 0) + Q_k, with Q_k already advanced."""
-    for k in range(params.num_services):
-        drain = params.delay_bounds[k] * params.arrival_rates[k]
-        state.virtual_delay[k] = max(state.virtual_delay[k] - drain, 0.0) + state.queues[k]
+    state.virtual_delay[:] = [
+        (x - d if x > d else 0.0) + q for x, d, q in zip(state.virtual_delay, params.delay_drains, state.queues)
+    ]
     return state
 
 
 def update_virtual_power(state: SystemState, power: float, params: TrafficParams) -> SystemState:
-    """Y_k <- max(Y_k - avg_power, 0) + power, identically for every k."""
-    if power < 0:
+    """Y <- max(Y - avg_power, 0) + power."""
+    if not power >= 0.0:
         raise ValueError("power must be non-negative")
-    for k in range(params.num_services):
-        state.virtual_power[k] = max(state.virtual_power[k] - params.avg_power, 0.0) + power
+    y, drain = state.virtual_power, params.avg_power
+    state.virtual_power = (y - drain if y > drain else 0.0) + power
     return state
-
-
-def lyapunov_value(state: SystemState, omega: float) -> float:
-    """Quadratic queue energy 0.5 * (sum X_k^2 + omega * sum Y_k^2)."""
-    if omega < 0:
-        raise ValueError("omega must be non-negative")
-    sx = sum(x * x for x in state.virtual_delay)
-    sy = sum(y * y for y in state.virtual_power)
-    return 0.5 * (sx + omega * sy)
-
-
-def drift_constant(params: TrafficParams, max_power: float, omega: float) -> float:
-    """Finite constant bounding the state-independent part of the one-slot drift.
-
-    Diagnostic only; no control decision depends on it.
-    """
-    total = 0.0
-    for k in range(params.num_services):
-        lam_w = params.arrival_rates[k] * params.delay_bounds[k]
-        total += params.buffer_cap**2 + lam_w**2 + omega * (max_power**2 + params.avg_power**2)
-    return total
-
-
-def penalty_value(
-    state: SystemState,
-    allocation: list[int],
-    batch: ArrivalBatch,
-    power: float,
-    params: TrafficParams,
-    omega: float,
-) -> float:
-    """Action-dependent part of the drift bound, evaluated at the pre-update state.
-
-    Diagnostic: the per-slot solver maximizes the equivalent isolated form
-    sum_k (X_k * mu_k - omega * Y_k * P).
-    """
-    total = 0.0
-    for k in range(params.num_services):
-        lam_w = params.arrival_rates[k] * params.delay_bounds[k]
-        total += state.virtual_delay[k] * (state.queues[k] - allocation[k] + batch.counts[k] - lam_w)
-        total += omega * state.virtual_power[k] * (power - params.avg_power)
-    return total

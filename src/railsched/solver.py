@@ -45,8 +45,9 @@ class SlotInstance:
     """One slot's solver input.
 
     `weights` are the delay-pressure virtual queues X_k, `beta` is the
-    aggregated power price omega * N * sum_k Y_k, and `capacity_cap` is the
-    real-valued packet cap implied by the slot's power cap.
+    aggregated power price omega * N * K * Y, and `capacity_cap` is the
+    real-valued packet cap implied by the slot's power cap.  Every float
+    must be finite; `eta` and `noise_equiv` must be positive.
     """
 
     weights: tuple[float, ...]
@@ -57,20 +58,24 @@ class SlotInstance:
     capacity_cap: float
 
     def __post_init__(self) -> None:
+        # One chained comparison per value: NaN fails every comparison, so
+        # `not lo <= v < inf` rejects NaN, infinities and out-of-range values.
         if len(self.weights) != len(self.backlogs):
             raise ValueError("weights and backlogs must have equal length")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be non-negative")
-        if any(q < 0 for q in self.backlogs):
-            raise ValueError("backlogs must be non-negative")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.noise_equiv <= 0:
-            raise ValueError("noise_equiv must be positive")
-        if self.capacity_cap < 0:
-            raise ValueError("capacity_cap must be non-negative")
+        for w in self.weights:
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"weights must be finite and non-negative, got {w!r}")
+        for q in self.backlogs:
+            if q < 0:
+                raise ValueError("backlogs must be non-negative")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and non-negative, got {self.beta!r}")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
+        if not 0.0 < self.noise_equiv < math.inf:
+            raise ValueError(f"noise_equiv must be finite and positive, got {self.noise_equiv!r}")
+        if not 0.0 <= self.capacity_cap < math.inf:
+            raise ValueError(f"capacity_cap must be finite and non-negative, got {self.capacity_cap!r}")
 
     @property
     def total_backlog(self) -> int:

@@ -9,6 +9,8 @@ byte-identical.
 
 from __future__ import annotations
 
+import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,73 +32,118 @@ def trace_columns(num_services: int) -> list[str]:
     return cols
 
 
+# Rows formatted per write; bounds the strings alive at once.
+_WRITE_CHUNK_ROWS = 2048
+
+
+def _int_columns(num_services: int) -> set[str]:
+    return {"t", "C", "served", "drops"} | {f"{p}{k}" for k in range(num_services) for p in ("A", "mu", "Q")}
+
+
 def write_trace(trace: Trace, path: str | Path) -> None:
-    k_count = trace.num_services
-    lines = [",".join(trace_columns(k_count))]
-    for t in range(len(trace)):
-        row = [
-            _fmt(trace.slot[t]),
-            _fmt(trace.distance[t]),
-            _fmt(trace.noise[t]),
-            _fmt(trace.power[t]),
-            _fmt(trace.capacity[t]),
-            _fmt(trace.served[t]),
-        ]
-        for k in range(k_count):
-            row += [
-                _fmt(trace.arrivals[t, k]),
-                _fmt(trace.allocation[t, k]),
-                _fmt(trace.queues[t, k]),
-                _fmt(trace.virtual_delay[t, k]),
-            ]
-        row += [_fmt(trace.virtual_power[t]), _fmt(trace.drops[t])]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = [trace.slot, trace.distance, trace.noise, trace.power, trace.capacity, trace.served]
+    for k in range(trace.num_services):
+        columns += [trace.arrivals[:, k], trace.allocation[:, k], trace.queues[:, k], trace.virtual_delay[:, k]]
+    columns += [trace.virtual_power, trace.drops]
+    # The text `_fmt` gives each value: integers in full, floats with 17 digits.
+    formats = [str if np.issubdtype(col.dtype, np.integer) else "{:.17g}".format for col in columns]
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(",".join(trace_columns(trace.num_services)) + "\n")
+        for start in range(0, len(trace), _WRITE_CHUNK_ROWS):
+            stop = start + _WRITE_CHUNK_ROWS
+            cells = [map(fmt, col[start:stop].tolist()) for fmt, col in zip(formats, columns)]
+            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_trace(path: str | Path) -> Trace:
-    text = Path(path).read_text(encoding="utf-8").rstrip("\n")
-    lines = text.split("\n")
-    header = lines[0].split(",")
-    if (len(header) - 8) % 4 != 0:
-        raise ValueError(f"{path}: {len(header)} columns do not fit the 6 + 4K + 2 trace schema")
-    k_count = (len(header) - 8) // 4
-    if header != trace_columns(k_count):
-        raise ValueError(f"{path}: unexpected trace header")
-    rows = len(lines) - 1
-    trace = Trace(
-        slot=np.zeros(rows, dtype=np.int64),
-        distance=np.zeros(rows),
-        noise=np.zeros(rows),
-        power=np.zeros(rows),
-        capacity=np.zeros(rows, dtype=np.int64),
-        served=np.zeros(rows, dtype=np.int64),
-        arrivals=np.zeros((rows, k_count), dtype=np.int64),
-        allocation=np.zeros((rows, k_count), dtype=np.int64),
-        queues=np.zeros((rows, k_count), dtype=np.int64),
-        virtual_delay=np.zeros((rows, k_count)),
-        virtual_power=np.zeros(rows),
-        drops=np.zeros(rows, dtype=np.int64),
-    )
-    for t, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ValueError(f"{path}: row {t} has {len(parts)} fields, expected {len(header)}")
-        trace.slot[t] = int(parts[0])
-        trace.distance[t] = float(parts[1])
-        trace.noise[t] = float(parts[2])
-        trace.power[t] = float(parts[3])
-        trace.capacity[t] = int(parts[4])
-        trace.served[t] = int(parts[5])
-        base = 6
+    """Parse a trace file; a malformed one raises ValueError naming the file and the row.
+
+    Rows count from 0 at the first line after the header.  Every row needs
+    one field per header column, integer columns whole numbers and float
+    columns finite values.  Empty lines may only end the file; a header
+    with no rows gives a zero-length trace.
+    """
+    with open(path, encoding="utf-8") as src:
+        header = src.readline().rstrip("\n").split(",")
+        if (len(header) - 8) % 4 != 0:
+            raise ValueError(f"{path}: {len(header)} columns do not fit the 6 + 4K + 2 trace schema")
+        k_count = (len(header) - 8) // 4
+        if header != trace_columns(k_count):
+            raise ValueError(f"{path}: unexpected trace header")
+        ints = _int_columns(k_count)
+        dtype = [(name, np.int64 if name in ints else np.float64) for name in header]
+        lines = (line for _, line in _numbered_lines(path, src))
+        first = next(lines, None)
+        if first is None:
+            rows = np.zeros(0, dtype=dtype)
+        else:
+            try:
+                rows = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, dtype=dtype, ndmin=1)
+            except ValueError as exc:
+                # Locate the fault one field at a time; fall back to numpy's own words.
+                src.seek(0)
+                src.readline()
+                _check_rows(path, header, ints, src)
+                raise ValueError(f"{path}: {exc}") from None
+    for name, kind in dtype:
+        if kind is np.float64:
+            bad = np.flatnonzero(~np.isfinite(rows[name]))
+            if bad.size:
+                raise ValueError(f"{path}: row {bad[0]}, column {name}: non-finite value {float(rows[name][bad[0]])!r}")
+
+    def column(name: str) -> np.ndarray:
+        return np.ascontiguousarray(rows[name])
+
+    def per_service(prefix: str, kind) -> np.ndarray:
+        out = np.empty((len(rows), k_count), dtype=kind)
         for k in range(k_count):
-            trace.arrivals[t, k] = int(parts[base + 4 * k])
-            trace.allocation[t, k] = int(parts[base + 4 * k + 1])
-            trace.queues[t, k] = int(parts[base + 4 * k + 2])
-            trace.virtual_delay[t, k] = float(parts[base + 4 * k + 3])
-        trace.virtual_power[t] = float(parts[base + 4 * k_count])
-        trace.drops[t] = int(parts[base + 4 * k_count + 1])
-    return trace
+            out[:, k] = rows[f"{prefix}{k}"]
+        return out
+
+    return Trace(
+        slot=column("t"),
+        distance=column("d"),
+        noise=column("N"),
+        power=column("P"),
+        capacity=column("C"),
+        served=column("served"),
+        arrivals=per_service("A", np.int64),
+        allocation=per_service("mu", np.int64),
+        queues=per_service("Q", np.int64),
+        virtual_delay=per_service("X", np.float64),
+        virtual_power=column("Y"),
+        drops=column("drops"),
+    )
+
+
+def _numbered_lines(path, src):
+    """(row, line) for each data line; empty lines may only end the file."""
+    empty_row = None
+    for row, line in enumerate(src):
+        if line == "\n":
+            if empty_row is None:
+                empty_row = row
+        elif empty_row is not None:
+            raise ValueError(f"{path}: row {empty_row} is empty")
+        else:
+            yield row, line
+
+
+def _check_rows(path, header: list[str], ints: set[str], src) -> None:
+    """Raise on the first malformed data line in `src`, naming its row and column."""
+    k_count = (len(header) - 8) // 4
+    is_int = [name in ints for name in header]
+    for row, line in _numbered_lines(path, src):
+        fields = line.rstrip("\n").split(",")
+        if len(fields) != len(header):
+            raise ValueError(f"{path}: row {row} has {len(fields)} fields, but the header has {len(header)} columns (K={k_count})")
+        for name, integer, raw in zip(header, is_int, fields):
+            try:
+                value = int(raw) if integer else float(raw)
+            except ValueError:
+                raise ValueError(f"{path}: row {row}, column {name}: {raw!r} is not {'an integer' if integer else 'a number'}") from None
+            if not integer and not math.isfinite(value):
+                raise ValueError(f"{path}: row {row}, column {name}: non-finite value {raw!r}")
 
 
 def write_summary(summary: SimSummary, path: str | Path) -> None:

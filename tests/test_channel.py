@@ -8,7 +8,7 @@ from railsched.channel import (
     Geometry,
     RadioParams,
     capacity_cap,
-    channel_sample,
+    capacity_cap_profile,
     distance_at,
     distance_profile,
     link_capacity,
@@ -159,11 +159,15 @@ class TestCapacityCap:
 
 
 def test_channel_sample_consistent():
-    sample = channel_sample(15000, GEOM, RADIO)
-    assert sample.slot == 15000
-    assert sample.distance == distance_at(15000, GEOM)
-    assert sample.noise_equiv == noise_equiv(sample.distance, RADIO)
-    assert sample.capacity_cap == capacity_cap(RADIO, sample.noise_equiv)
+    # The channel the engine samples at slot t from its profiles is the
+    # scalar chain d(t) -> N(t) -> capacity cap, up to round-off.
+    t = 15000
+    distances = distance_profile(t + 1, GEOM)
+    noises = noise_profile(distances, RADIO)
+    caps = capacity_cap_profile(noises, RADIO.max_power, RADIO.eta)
+    assert distances[t] == pytest.approx(distance_at(t, GEOM), rel=1e-12)
+    assert noises[t] == pytest.approx(noise_equiv(distance_at(t, GEOM), RADIO), rel=1e-12)
+    assert caps[t] == pytest.approx(capacity_cap(RADIO, float(noises[t])), rel=1e-12)
 
 
 def test_geometry_validation():

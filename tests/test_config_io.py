@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from railsched.config import ConfigError, default_config, load_config, with_updates
 from railsched.engine import replay_check, run
-from railsched.traceio import read_summary, read_trace, trace_columns, write_summary, write_trace
+from railsched.traceio import _fmt, read_summary, read_trace, trace_columns, write_summary, write_trace
 
 
 class TestDefaults:
@@ -123,6 +125,22 @@ class TestTraceRoundTrip:
         write_trace(read_trace(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_writer_matches_row_by_row_reference(self, tmp_path):
+        # Reference: format every value on its own, row by row; 2049 rows
+        # cross the writer's 2048-row chunk boundary.
+        config = with_updates(default_config(), horizon=2049, seed=5)
+        trace, _ = run(config, policy="wfpa-static")
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        lines = [",".join(trace_columns(trace.num_services))]
+        for t in range(len(trace)):
+            row = [trace.slot[t], trace.distance[t], trace.noise[t], trace.power[t], trace.capacity[t], trace.served[t]]
+            for k in range(trace.num_services):
+                row += [trace.arrivals[t, k], trace.allocation[t, k], trace.queues[t, k], trace.virtual_delay[t, k]]
+            row += [trace.virtual_power[t], trace.drops[t]]
+            lines.append(",".join(_fmt(v) for v in row))
+        assert path.read_text() == "\n".join(lines) + "\n"
+
     def test_column_schema(self, short_run):
         _, trace, _ = short_run
         cols = trace_columns(trace.num_services)
@@ -164,6 +182,63 @@ class TestTraceRoundTrip:
         path.write_text("\n".join(body) + "\n")
         with pytest.raises(ValueError):
             read_trace(path)
+
+
+class TestTraceRejectsBadFiles:
+    """Each malformed trace raises ValueError naming the file and, where one applies, the row."""
+
+    def write_edited(self, tmp_path, trace, edit):
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @staticmethod
+    def set_field(lines, row, column, value):
+        header = lines[0].split(",")
+        fields = lines[1 + row].split(",")
+        fields[header.index(column)] = value
+        lines[1 + row] = ",".join(fields)
+
+    def test_truncated_row(self, tmp_path, short_run):
+        path = self.write_edited(tmp_path, short_run[1], lambda lines: lines.__setitem__(8, lines[8].rsplit(",", 3)[0]))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: row 7 has 29 fields, but the header has 32 columns"):
+            read_trace(path)
+
+    def test_non_numeric_field(self, tmp_path, short_run):
+        path = self.write_edited(tmp_path, short_run[1], lambda lines: self.set_field(lines, 12, "P", "fast"))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: row 12, column P: 'fast' is not a number"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float(self, tmp_path, short_run, value):
+        path = self.write_edited(tmp_path, short_run[1], lambda lines: self.set_field(lines, 40, "X3", value))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: row 40, column X3: non-finite value"):
+            read_trace(path)
+
+    def test_fractional_int(self, tmp_path, short_run):
+        path = self.write_edited(tmp_path, short_run[1], lambda lines: self.set_field(lines, 5, "Q2", "3.5"))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: row 5, column Q2: '3.5' is not an integer"):
+            read_trace(path)
+
+    def test_header_with_wrong_k(self, tmp_path, short_run):
+        path = self.write_edited(tmp_path, short_run[1], lambda lines: lines.__setitem__(0, ",".join(trace_columns(5))))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: row 0 has 32 fields, but the header has 28 columns \(K=5\)"):
+            read_trace(path)
+
+    def test_interior_empty_line(self, tmp_path, short_run):
+        path = self.write_edited(tmp_path, short_run[1], lambda lines: lines.insert(4, ""))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: row 3 is empty"):
+            read_trace(path)
+
+    def test_header_only_is_empty_trace(self, tmp_path, short_run):
+        path = self.write_edited(tmp_path, short_run[1], lambda lines: lines.__delitem__(slice(1, None)))
+        trace = read_trace(path)
+        assert len(trace) == 0
+        assert trace.num_services == short_run[1].num_services
+        assert trace.queues.shape == (0, 6)
 
 
 class TestSummaryRoundTrip:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from railsched.config import default_config, with_updates
 from railsched.engine import PacketDelayTracker, Trace, replay_check, run, summarize
 from railsched.policies import POLICY_NAMES
+from railsched.traceio import write_summary, write_trace
 
 BASE = default_config()
 
@@ -168,3 +170,67 @@ def test_run_rejects_bad_horizon():
     object.__setattr__(config, "horizon", 0)
     with pytest.raises(ValueError):
         run(config)
+
+
+# SHA-256 of (trace.csv, summary.txt) at T=3000, seed 1, by scenario and policy.
+PINNED_OUTPUTS = {
+    ("default", "cpa-dynamic"): (
+        "3f181ddb491c1256e5098b3090eef35e0cff4f71fc8dddcd99d60a9506a40b35",
+        "609d1d66a881d2358489ea3e562e3819c6b7ef2b80720ba8c9a312a73cb25cc4",
+    ),
+    ("default", "cpa-static"): (
+        "46469d671564f50c7043cd140e57284d8c8f0bf05c21054199bb187f8b1b1d53",
+        "ebb206327d8493b8e3bcfe2e389a136ed98528cc0e1fafc2266da94ec91c6e10",
+    ),
+    ("default", "proposed"): (
+        "3f181ddb491c1256e5098b3090eef35e0cff4f71fc8dddcd99d60a9506a40b35",
+        "609d1d66a881d2358489ea3e562e3819c6b7ef2b80720ba8c9a312a73cb25cc4",
+    ),
+    ("default", "wfpa-dynamic"): (
+        "3f181ddb491c1256e5098b3090eef35e0cff4f71fc8dddcd99d60a9506a40b35",
+        "609d1d66a881d2358489ea3e562e3819c6b7ef2b80720ba8c9a312a73cb25cc4",
+    ),
+    ("default", "wfpa-static"): (
+        "0c3ffa8be9cf21def75defd7a84d66c9ef92ddbe828c61c591a99d04998eeed5",
+        "da53c18e6542cb3049a9a7086a99152732bcafbfe486e2a91db7133efa69bf33",
+    ),
+    ("avg_power=0.5", "cpa-dynamic"): (
+        "3f181ddb491c1256e5098b3090eef35e0cff4f71fc8dddcd99d60a9506a40b35",
+        "609d1d66a881d2358489ea3e562e3819c6b7ef2b80720ba8c9a312a73cb25cc4",
+    ),
+    ("avg_power=0.5", "cpa-static"): (
+        "68e32c88389772db6e84194a348f30687f38e6a3026a395f070da62da02e03f2",
+        "5cf0ea5cd2b135e45b7f8dc8aaea6bee1361d339940e0ab997fb213a3a85c6f0",
+    ),
+    ("avg_power=0.5", "proposed"): (
+        "3f181ddb491c1256e5098b3090eef35e0cff4f71fc8dddcd99d60a9506a40b35",
+        "609d1d66a881d2358489ea3e562e3819c6b7ef2b80720ba8c9a312a73cb25cc4",
+    ),
+    ("avg_power=0.5", "wfpa-dynamic"): (
+        "3f181ddb491c1256e5098b3090eef35e0cff4f71fc8dddcd99d60a9506a40b35",
+        "609d1d66a881d2358489ea3e562e3819c6b7ef2b80720ba8c9a312a73cb25cc4",
+    ),
+    ("avg_power=0.5", "wfpa-static"): (
+        "da4017438de8ab7c84b19852fa869ad8a9b5b8456635a55c90f7dc2e1f07c729",
+        "272617e470fa2336d1a1cb08ee7db6c1b789067679c4d3af1cb2f5329c3bd9cf",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario, policy", sorted(PINNED_OUTPUTS))
+def test_outputs_pinned(tmp_path, scenario, policy):
+    """Output files stay byte-identical for a fixed (config, policy, seed).
+
+    The digests were generated with the engine that kept one power virtual
+    queue per service and built per-slot channel, arrival and action
+    objects, and with the row-by-row trace writer, before either was
+    replaced.  A change that alters any decision or any written byte fails
+    here.
+    """
+    updates = {"avg_power": 0.5} if scenario == "avg_power=0.5" else {}
+    config = small_config(horizon=3000, seed=1, **updates)
+    trace, summary = run(config, policy=policy)
+    write_trace(trace, tmp_path / "trace.csv")
+    write_summary(summary, tmp_path / "summary.txt")
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("trace.csv", "summary.txt"))
+    assert digests == PINNED_OUTPUTS[scenario, policy]

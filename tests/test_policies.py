@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railsched.channel import channel_sample
+from railsched.channel import capacity_cap, distance_at, noise_equiv
 from railsched.config import default_config
 from railsched.policies import (
     POLICY_NAMES,
-    ControlAction,
     Policy,
     PolicyKind,
     build_policy,
@@ -16,7 +15,7 @@ from railsched.policies import (
     wfpa_profile,
 )
 from railsched.queues import SystemState
-from railsched.solver import SlotInstance, objective_value
+from railsched.solver import SlotInstance, objective_value, solve_slot
 
 CONFIG = default_config()
 
@@ -95,38 +94,50 @@ class TestBuildPolicy:
 
 
 def _state(queues, weights, y=0.0):
-    k = len(queues)
-    return SystemState(queues=list(queues), virtual_delay=list(weights), virtual_power=[y] * k, slot=0)
+    return SystemState(queues=list(queues), virtual_delay=list(weights), virtual_power=y, slot=0)
+
+
+def _channel(slot, radio=CONFIG.radio):
+    """Noise-equivalent power and real-valued capacity cap at `slot`."""
+    noise = noise_equiv(distance_at(slot, CONFIG.geometry), radio)
+    return noise, capacity_cap(radio, noise)
 
 
 class TestDecide:
     def test_empty_queues_proposed_stays_silent(self):
-        channel = channel_sample(0, CONFIG.geometry, CONFIG.radio)
         state = _state([0] * 6, [0.0] * 6)
         policy = build_policy("proposed", 36.0, 50.0, np.ones(1))
-        action = decide(policy, state, channel, CONFIG.radio, CONFIG.omega)
-        assert action.power == 0.0
-        assert action.allocation == [0] * 6
-        assert action.served == 0
+        power, allocation, capacity = decide(policy, state, 0, *_channel(0), CONFIG.radio, CONFIG.omega)
+        assert power == 0.0
+        assert allocation == [0] * 6
+        assert capacity == 0
 
     def test_empty_queues_static_still_burns_power(self):
-        channel = channel_sample(0, CONFIG.geometry, CONFIG.radio)
         state = _state([0] * 6, [0.0] * 6)
         policy = build_policy("cpa-static", 36.0, 50.0, np.ones(1))
-        action = decide(policy, state, channel, CONFIG.radio, CONFIG.omega)
-        assert action.power == 36.0
-        assert action.served == 0
+        power, allocation, _ = decide(policy, state, 0, *_channel(0), CONFIG.radio, CONFIG.omega)
+        assert power == 36.0
+        assert sum(allocation) == 0
+
+    def test_power_price_is_k_times_y(self):
+        # one power queue Y, priced once per service: the solver sees beta = omega * N * (K * Y)
+        queues, weights, y = [40, 7, 0, 12, 3, 90], [30.0, 12.5, 0.0, 60.0, 1.0, 45.0], 1.0e7
+        noise, cap = _channel(1234)
+        policy = build_policy("proposed", 36.0, 50.0, np.ones(1))
+        power, allocation, capacity = decide(policy, _state(queues, weights, y), 1234, noise, cap, CONFIG.radio, 0.8)
+        solution = solve_slot(SlotInstance(tuple(weights), tuple(queues), 0.8 * noise * (6 * y), CONFIG.radio.eta, noise, cap))
+        assert 0 < capacity < sum(queues)
+        assert (power, allocation, capacity) == (solution.power, list(solution.allocation), solution.capacity)
 
     def test_static_capacity_ignores_backlog(self):
         # at the cell center a 36 W static slot carries 585 packets whatever the queues say
-        channel = channel_sample(0, CONFIG.geometry, CONFIG.radio)
         policy = build_policy("cpa-static", 36.0, 50.0, np.ones(1))
         for queues in ([0] * 6, [3] * 6, [900] * 6):
             state = _state(queues, [1.0] * 6)
-            action = decide(policy, state, channel, CONFIG.radio, CONFIG.omega)
-            assert action.power == 36.0
-            assert action.capacity == 585
-            assert action.served == min(585, sum(queues))
+            power, allocation, capacity = decide(policy, state, 0, *_channel(0), CONFIG.radio, CONFIG.omega)
+            assert power == 36.0
+            assert capacity == 585
+            assert sum(allocation) == min(585, sum(queues))
 
     def test_dynamic_cpa_equals_proposed_with_lowered_cap(self):
         import dataclasses
@@ -139,21 +150,19 @@ class TestDecide:
             queues = [int(q) for q in rng.integers(0, 60, size=6)]
             weights = [float(w) for w in rng.uniform(0, 80, size=6)]
             y = float(rng.uniform(0, 50))
-            chan_dyn = channel_sample(t, CONFIG.geometry, CONFIG.radio)
-            chan_prop = channel_sample(t, CONFIG.geometry, radio36)
-            a = decide(dyn, _state(queues, weights, y), chan_dyn, CONFIG.radio, 0.8)
-            b = decide(prop, _state(queues, weights, y), chan_prop, radio36, 0.8)
-            assert a.allocation == b.allocation
-            assert a.capacity == b.capacity
-            assert a.power == pytest.approx(b.power, rel=1e-12)
+            power_a, allocation_a, capacity_a = decide(dyn, _state(queues, weights, y), t, *_channel(t), CONFIG.radio, 0.8)
+            power_b, allocation_b, capacity_b = decide(prop, _state(queues, weights, y), t, *_channel(t, radio36), radio36, 0.8)
+            assert allocation_a == allocation_b
+            assert capacity_a == capacity_b
+            assert power_a == pytest.approx(power_b, rel=1e-12)
 
     def test_zero_profile_slot_is_silent(self):
         policy = Policy(PolicyKind.DYNAMIC_CPA, static_profile=np.zeros(5))
-        channel = channel_sample(2, CONFIG.geometry, CONFIG.radio)
         state = _state([10] * 6, [5.0] * 6)
-        action = decide(policy, state, channel, CONFIG.radio, 0.8)
-        assert action.power == 0.0
-        assert action.served == 0
+        power, allocation, capacity = decide(policy, state, 2, *_channel(2), CONFIG.radio, 0.8)
+        assert power == 0.0
+        assert sum(allocation) == 0
+        assert capacity == 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -165,22 +174,18 @@ class TestDecide:
     def test_proposed_dominates_capped_variants(self, queues, weights, y, slot):
         # with profile power below the instantaneous cap, the proposed feasible
         # set contains the dynamic ones, so its slot objective cannot be worse
-        channel = channel_sample(slot, CONFIG.geometry, CONFIG.radio)
+        noise, cap = _channel(slot)
         prop = build_policy("proposed", 36.0, 50.0, np.ones(30000))
         dyn = build_policy("cpa-dynamic", 36.0, 50.0, np.ones(30000))
-        a = decide(prop, _state(queues, weights, y), channel, CONFIG.radio, 0.8)
-        b = decide(dyn, _state(queues, weights, y), channel, CONFIG.radio, 0.8)
+        _, allocation_a, _ = decide(prop, _state(queues, weights, y), slot, noise, cap, CONFIG.radio, 0.8)
+        _, allocation_b, _ = decide(dyn, _state(queues, weights, y), slot, noise, cap, CONFIG.radio, 0.8)
         inst = SlotInstance(
             weights=tuple(weights),
             backlogs=tuple(queues),
-            beta=0.8 * channel.noise_equiv * y * 6,
+            beta=0.8 * noise * y * 6,
             eta=CONFIG.radio.eta,
-            noise_equiv=channel.noise_equiv,
-            capacity_cap=channel.capacity_cap,
+            noise_equiv=noise,
+            capacity_cap=cap,
         )
-        assert objective_value(float(a.served), inst) >= objective_value(float(b.served), inst) - 1e-9
+        assert objective_value(float(sum(allocation_a)), inst) >= objective_value(float(sum(allocation_b)), inst) - 1e-9
 
-
-def test_control_action_served():
-    action = ControlAction(power=1.0, allocation=[2, 0, 3], capacity=5)
-    assert action.served == 5

@@ -316,3 +316,21 @@ def test_instance_validation():
         make_instance([1.0], [-1])
     with pytest.raises(ValueError):
         make_instance([1.0], [1], beta=-1.0)
+
+
+_VALID_FIELDS = dict(weights=(2.0, 1.0), backlogs=(3, 4), beta=0.5, eta=ETA, noise_equiv=1.0, capacity_cap=1e4)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["weights", "beta", "eta", "noise_equiv", "capacity_cap"])
+def test_instance_rejects_non_finite(field, value):
+    # NaN slips through `x < 0`; a NaN beta once gave solve_slot C=7 against brute force C=0
+    fields = dict(_VALID_FIELDS, **{field: (2.0, value) if field == "weights" else value})
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SlotInstance(**fields)
+
+
+@pytest.mark.parametrize("field", ["eta", "noise_equiv"])
+def test_instance_rejects_zero_scale(field):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        SlotInstance(**dict(_VALID_FIELDS, **{field: 0.0}))
