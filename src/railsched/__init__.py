@@ -16,7 +16,7 @@ from .channel import (
 )
 from .config import ConfigError, ScenarioConfig, default_config, load_config, with_updates
 from .engine import PacketDelayTracker, SimSummary, Trace, replay_check, run, summarize
-from .policies import Policy, PolicyKind, build_policy, cpa_profile, decide, wfpa_profile
+from .policies import Policy, build_policy, cpa_profile, decide, wfpa_profile
 from .queues import (
     ArrivalProcess,
     SystemState,

@@ -155,7 +155,7 @@ def capacity_cap(radio: RadioParams, noise: float) -> float:
     return math.log2(1.0 + radio.max_power / noise) / radio.eta
 
 
-def capacity_cap_profile(noises: np.ndarray, max_power: float, eta: float) -> np.ndarray:
-    """Vectorized `capacity_cap` for an arbitrary power cap."""
-    return np.log2(1.0 + max_power / np.asarray(noises, dtype=np.float64)) / eta
+def capacity_cap_profile(noises: np.ndarray, power_cap, eta: float) -> np.ndarray:
+    """Vectorized `capacity_cap` for a power cap given once or per slot."""
+    return np.log2(1.0 + power_cap / np.asarray(noises, dtype=np.float64)) / eta
 

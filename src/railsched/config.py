@@ -127,8 +127,6 @@ def _build(values: dict) -> ScenarioConfig:
     if pathloss < 2.0:
         raise ConfigError(f"radio.pathloss_exp must be >= 2, got {pathloss}")
     max_power = float(rad["max_power_w"])
-    if max_power <= 0:
-        raise ConfigError("radio.max_power_w must be positive")
 
     try:
         radio = RadioParams(
@@ -155,31 +153,34 @@ def _build(values: dict) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"traffic: {exc}") from None
 
-    if traffic.avg_power > radio.max_power:
-        raise ConfigError(
-            f"traffic.avg_power_w = {traffic.avg_power} exceeds radio.max_power_w = {radio.max_power}"
+    return _validated(
+        ScenarioConfig(
+            geometry=geometry,
+            radio=radio,
+            traffic=traffic,
+            omega=float(ctl["omega"]),
+            horizon=int(run["horizon"]),
+            seed=int(run["seed"]),
+            policy=str(run["policy"]).strip(),
         )
-
-    omega = float(ctl["omega"])
-    if omega < 0:
-        raise ConfigError("control.omega must be non-negative")
-
-    horizon = int(run["horizon"])
-    if horizon < 1:
-        raise ConfigError("run.horizon must be >= 1")
-    policy = str(run["policy"]).strip()
-    if policy not in POLICY_NAMES:
-        raise ConfigError(f"run.policy {policy!r} not one of {sorted(POLICY_NAMES)}")
-
-    return ScenarioConfig(
-        geometry=geometry,
-        radio=radio,
-        traffic=traffic,
-        omega=omega,
-        horizon=horizon,
-        seed=int(run["seed"]),
-        policy=policy,
     )
+
+
+def _validated(config: ScenarioConfig) -> ScenarioConfig:
+    """The checks that span fields or that the field types do not make; shared by loading and `with_updates`."""
+    # Chained comparisons are False for NaN, so each check rejects it too.
+    max_power, avg_power = config.radio.max_power, config.traffic.avg_power
+    if not 0.0 < max_power < math.inf:
+        raise ConfigError(f"radio.max_power_w must be finite and positive, got {max_power}")
+    if not avg_power <= max_power:
+        raise ConfigError(f"traffic.avg_power_w = {avg_power} exceeds radio.max_power_w = {max_power}")
+    if not 0.0 <= config.omega < math.inf:
+        raise ConfigError(f"control.omega must be finite and non-negative, got {config.omega}")
+    if not config.horizon >= 1:
+        raise ConfigError(f"run.horizon must be >= 1, got {config.horizon}")
+    if config.policy not in POLICY_NAMES:
+        raise ConfigError(f"run.policy {config.policy!r} not one of {sorted(POLICY_NAMES)}")
+    return config
 
 
 def default_config() -> ScenarioConfig:
@@ -259,9 +260,4 @@ def with_updates(config: ScenarioConfig, **kwargs) -> ScenarioConfig:
             top[name] = value
         else:
             raise ConfigError(f"with_updates does not know field {name!r}")
-    updated = dataclasses.replace(config, geometry=geometry, radio=radio, traffic=traffic, **top)
-    if updated.traffic.avg_power > updated.radio.max_power:
-        raise ConfigError(
-            f"traffic.avg_power_w = {updated.traffic.avg_power} exceeds radio.max_power_w = {updated.radio.max_power}"
-        )
-    return updated
+    return _validated(dataclasses.replace(config, geometry=geometry, radio=radio, traffic=traffic, **top))

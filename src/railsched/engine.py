@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import capacity_cap_profile, distance_profile, noise_profile
 from .config import ScenarioConfig
-from .policies import POWER_CAP_RTOL, Policy, PolicyKind, build_policy, decide
+from .policies import POWER_CAP_RTOL, build_policy, decide
 from .queues import ArrivalProcess, SystemState, update_real_queue, update_virtual_delay, update_virtual_power
 
 
@@ -93,12 +93,15 @@ class PacketDelayTracker:
 
 def run(
     config: ScenarioConfig,
-    policy: Policy | PolicyKind | str | None = None,
+    policy: Optional[str] = None,
     seed: Optional[int] = None,
     record_trace: bool = True,
     packet_tracker: Optional[PacketDelayTracker] = None,
 ) -> tuple[Optional[Trace], SimSummary]:
-    """Simulate the whole horizon; deterministic for fixed (config, policy, seed)."""
+    """Simulate the whole horizon; deterministic for fixed (config, policy, seed).
+
+    `policy` names one of the five policies; None runs `config.policy`.
+    """
     if config.horizon < 1:
         raise ValueError("horizon must be >= 1")
     seed = config.seed if seed is None else int(seed)
@@ -108,12 +111,8 @@ def run(
 
     distances = distance_profile(horizon, geom)
     noises = noise_profile(distances, radio)
-    caps = capacity_cap_profile(noises, radio.max_power, radio.eta)
-
-    if policy is None:
-        policy = config.policy
-    if not isinstance(policy, Policy):
-        policy = build_policy(policy, traffic.avg_power, radio.max_power, noises)
+    policy = build_policy(config.policy if policy is None else policy, traffic.avg_power, radio.max_power, noises)
+    caps = capacity_cap_profile(noises, policy.power_cap, radio.eta)
 
     arrivals_all = ArrivalProcess(traffic.arrival_rates, seed).sample_horizon(horizon)
 
@@ -136,9 +135,10 @@ def run(
 
     state = SystemState.initial(num_services)
     power_limit = radio.max_power * (1.0 + POWER_CAP_RTOL)
-    omega = config.omega
+    eta, omega = radio.eta, config.omega
     # Zero-copy views whose items are Python floats, so the slot arithmetic
     # never touches numpy scalars.
+    power_cap_at = memoryview(policy.power_cap)
     noise_at = memoryview(noises)
     cap_at = memoryview(caps)
 
@@ -148,7 +148,7 @@ def run(
     drop_sum = [0] * num_services
 
     for t in range(horizon):
-        power, allocation, capacity = decide(policy, state, t, noise_at[t], cap_at[t], radio, omega)
+        power, allocation, capacity = decide(policy, state, power_cap_at[t], noise_at[t], cap_at[t], eta, omega)
         served = sum(allocation)
 
         if power > power_limit:

@@ -132,9 +132,13 @@ def greedy_allocation(capacity: int, inst: SlotInstance) -> list[int]:
     if capacity < 0 or capacity > inst.total_backlog:
         raise ValueError(f"capacity {capacity} outside [0, {inst.total_backlog}]")
     order, _, prefix = _sorted_view(inst)
-    mu = [0] * len(inst.weights)
+    return _fill(capacity, inst.backlogs, order, prefix)
+
+
+def _fill(capacity: int, backlogs: tuple[int, ...], order: list[int], prefix: list[int]) -> list[int]:
+    mu = [0] * len(order)
     for i, k in enumerate(order):
-        mu[k] = min(max(capacity - prefix[i], 0), inst.backlogs[k])
+        mu[k] = min(max(capacity - prefix[i], 0), backlogs[k])
     return mu
 
 
@@ -225,8 +229,6 @@ def brute_force_slot(inst: SlotInstance) -> SlotSolution:
 
 
 def _solution_at(capacity: int, objective: float, inst: SlotInstance, order: list[int], prefix: list[int]) -> SlotSolution:
-    mu = [0] * len(inst.weights)
-    for i, k in enumerate(order):
-        mu[k] = min(max(capacity - prefix[i], 0), inst.backlogs[k])
+    mu = _fill(capacity, inst.backlogs, order, prefix)
     power = power_for_capacity(float(capacity), inst.noise_equiv, inst.eta)
     return SlotSolution(capacity=capacity, power=power, allocation=tuple(mu), objective=objective)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, with_updates
 from .engine import Trace, run
-from .traceio import _fmt
+from .traceio import _finite, _flag, _fmt, _parse
 
 SWEEP_PARAMETERS = ("omega", "lambda", "pmax")
 
@@ -154,8 +154,11 @@ def _fill_row(row: SweepRow, result) -> None:
     row.status = "ok"
 
 
+_SWEEP_COLUMNS = ("parameter", "value", "policy", "seed", "status", "avg_power", "mean_delay", "avg_delay", "delay_ok", "power_ok", "error")
+
+
 def write_sweep(table: SweepTable, path: str | Path) -> None:
-    lines = ["parameter,value,policy,seed,status,avg_power,mean_delay,avg_delay,delay_ok,power_ok,error"]
+    lines = [",".join(_SWEEP_COLUMNS)]
     for row in table.rows:
         lines.append(
             ",".join(
@@ -178,25 +181,41 @@ def write_sweep(table: SweepTable, path: str | Path) -> None:
 
 
 def read_sweep(path: str | Path) -> SweepTable:
+    """Parse a sweep table; a malformed one raises ValueError naming the file, the row and the column.
+
+    Rows count from 0 at the first line after the header.  A row has one
+    field per column and a status of `ok` or `failed`.  Flags are 0 or 1.
+    An `ok` row needs finite numbers, and its avg_delay vector must be as
+    long as every other `ok` row's; a failed row may carry NaN.
+    """
     lines = Path(path).read_text(encoding="utf-8").rstrip("\n").split("\n")
+    if lines[0] != ",".join(_SWEEP_COLUMNS):
+        raise ValueError(f"{path}: unexpected sweep header")
     rows = []
-    for line in lines[1:]:
-        parts = line.split(",", maxsplit=10)
-        rows.append(
-            SweepRow(
-                parameter=parts[0],
-                value=float(parts[1]),
-                policy=parts[2],
-                seed=int(parts[3]),
-                status=parts[4],
-                avg_power=float(parts[5]),
-                mean_delay=float(parts[6]),
-                avg_delay=tuple(float(v) for v in parts[7].split(";")) if parts[7] else (),
-                delay_ok=bool(int(parts[8])),
-                power_ok=bool(int(parts[9])),
-                error=parts[10],
-            )
-        )
+    k_count = None
+    for index, line in enumerate(lines[1:]):
+        cells = dict(zip(_SWEEP_COLUMNS, line.split(",", maxsplit=len(_SWEEP_COLUMNS) - 1)))
+        if len(cells) != len(_SWEEP_COLUMNS):
+            raise ValueError(f"{path}: row {index} has {len(cells)} fields, but the header has {len(_SWEEP_COLUMNS)} columns")
+        if cells["status"] not in ("ok", "failed"):
+            raise ValueError(f"{path}: row {index}, column status: {cells['status']!r} is not 'ok' or 'failed'")
+        number = _finite if cells["status"] == "ok" else float
+        converters = {
+            "value": _finite,
+            "seed": int,
+            "avg_power": number,
+            "mean_delay": number,
+            "avg_delay": lambda raw: tuple(map(number, raw.split(";"))) if raw else (),
+            "delay_ok": _flag,
+            "power_ok": _flag,
+        }
+        for name, convert in converters.items():
+            cells[name] = _parse(path, f"row {index}, column {name}", convert, cells[name])
+        if cells["status"] == "ok":
+            if k_count not in (None, len(cells["avg_delay"])):
+                raise ValueError(f"{path}: row {index}, column avg_delay: {len(cells['avg_delay'])} values, but earlier rows have {k_count}")
+            k_count = len(cells["avg_delay"])
+        rows.append(SweepRow(**cells))
     return SweepTable(rows=rows)
 
 

@@ -163,23 +163,58 @@ def write_summary(summary: SimSummary, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_summary(path: str | Path) -> SimSummary:
-    fields: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        key, _, raw = line.partition(" = ")
-        fields[key] = raw
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
+def _flag(raw: str) -> bool:
+    if raw not in ("0", "1"):
+        raise ValueError(f"{raw!r} is not 0 or 1")
+    return raw == "1"
+
+
+def _parse(path, where: str, convert, raw: str):
+    """`convert(raw)`, with a ValueError naming the file and `where` in the text."""
     try:
-        return SimSummary(
-            avg_power=float(fields["avg_power"]),
-            avg_backlog=tuple(float(v) for v in fields["avg_backlog"].split(",")),
-            avg_delay=tuple(float(v) for v in fields["avg_delay"].split(",")),
-            empirical_rates=tuple(float(v) for v in fields["empirical_rates"].split(",")),
-            delay_ok=tuple(bool(int(v)) for v in fields["delay_ok"].split(",")),
-            power_ok=bool(int(fields["power_ok"])),
-            total_drops=tuple(int(v) for v in fields["total_drops"].split(",")),
-            horizon=int(fields["horizon"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: summary file missing field {exc}") from None
+        return convert(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {where}: {exc}") from None
+
+
+def read_summary(path: str | Path) -> SimSummary:
+    """Parse a summary file; a malformed one raises ValueError naming the file and the field.
+
+    Every line is `key = value`.  Floats must be finite, flags 0 or 1, and
+    every per-service vector as long as `avg_backlog`.
+    """
+    fields: dict[str, str] = {}
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if line.strip():
+            key, sep, raw = line.partition(" = ")
+            if not sep:
+                raise ValueError(f"{path}: line {number} is not 'key = value'")
+            fields[key] = raw
+
+    def parse(key: str, convert, length: int | None) -> tuple:
+        if key not in fields:
+            raise ValueError(f"{path}: summary file missing field {key!r}")
+        values = _parse(path, f"field {key}", lambda raw: tuple(map(convert, raw.split(","))), fields[key])
+        if length is not None and len(values) != length:
+            raise ValueError(f"{path}: field {key} has {len(values)} values, expected {length}")
+        return values
+
+    avg_backlog = parse("avg_backlog", _finite, None)
+    k_count = len(avg_backlog)
+    return SimSummary(
+        avg_power=parse("avg_power", _finite, 1)[0],
+        avg_backlog=avg_backlog,
+        avg_delay=parse("avg_delay", _finite, k_count),
+        empirical_rates=parse("empirical_rates", _finite, k_count),
+        delay_ok=parse("delay_ok", _flag, k_count),
+        power_ok=parse("power_ok", _flag, 1)[0],
+        total_drops=parse("total_drops", int, k_count),
+        horizon=parse("horizon", int, 1)[0],
+    )

@@ -109,6 +109,42 @@ class TestLoading:
             load_config(path)
 
 
+class TestValidation:
+    """File loading and `with_updates` share one validator; each error names its field."""
+
+    @pytest.mark.parametrize("omega", [-1.0, float("nan"), float("inf")])
+    def test_bad_omega(self, omega):
+        with pytest.raises(ConfigError, match=r"control\.omega must be finite and non-negative"):
+            with_updates(default_config(), omega=omega)
+        with pytest.raises(ConfigError, match=r"control\.omega must be finite and non-negative"):
+            load_config(omega=str(omega))
+
+    def test_bad_horizon(self):
+        with pytest.raises(ConfigError, match=r"run\.horizon must be >= 1"):
+            with_updates(default_config(), horizon=0)
+        with pytest.raises(ConfigError, match=r"run\.horizon must be >= 1"):
+            load_config(horizon=0)
+
+    def test_unknown_policy(self):
+        with pytest.raises(ConfigError, match=r"run\.policy 'banana' not one of"):
+            with_updates(default_config(), policy="banana")
+        with pytest.raises(ConfigError, match=r"run\.policy 'banana' not one of"):
+            load_config(policy="banana")
+
+    def test_avg_power_above_cap(self):
+        with pytest.raises(ConfigError, match=r"traffic\.avg_power_w = 60.0 exceeds radio\.max_power_w = 50.0"):
+            with_updates(default_config(), avg_power=60.0)
+        with pytest.raises(ConfigError, match=r"traffic\.avg_power_w = nan exceeds"):
+            with_updates(default_config(), avg_power=float("nan"))
+
+    @pytest.mark.parametrize("max_power", [0.0, float("nan"), float("inf")])
+    def test_bad_max_power(self, max_power):
+        with pytest.raises(ConfigError, match=r"radio\.max_power_w must be finite and positive"):
+            with_updates(default_config(), max_power=max_power)
+        with pytest.raises(ConfigError, match=r"radio\.max_power_w must be finite and positive"):
+            load_config(max_power_w=str(max_power))
+
+
 @pytest.fixture(scope="module")
 def short_run():
     config = with_updates(default_config(), horizon=300, seed=21)
@@ -262,3 +298,36 @@ class TestSummaryRoundTrip:
         path.write_text("avg_power = 1.0\n")
         with pytest.raises(ValueError):
             read_summary(path)
+
+
+class TestSummaryRejectsBadFiles:
+    """Each malformed summary raises ValueError naming the file and the field."""
+
+    def expect(self, tmp_path, summary, edit, message):
+        path = tmp_path / "s.txt"
+        write_summary(summary, path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_summary(path)
+
+    @staticmethod
+    def set_line(key, value):
+        return lambda text: re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+
+    def test_nan_power(self, tmp_path, short_run):
+        self.expect(tmp_path, short_run[2], self.set_line("avg_power", "nan"), "field avg_power: 'nan' is not finite")
+
+    def test_wrong_k(self, tmp_path, short_run):
+        self.expect(tmp_path, short_run[2], self.set_line("avg_delay", "1,2,3,4,5"), "field avg_delay has 5 values, expected 6")
+
+    def test_non_numeric(self, tmp_path, short_run):
+        self.expect(tmp_path, short_run[2], self.set_line("horizon", "long"), "field horizon: invalid literal for int() with base 10: 'long'")
+
+    def test_bad_flag(self, tmp_path, short_run):
+        self.expect(tmp_path, short_run[2], self.set_line("power_ok", "yes"), "field power_ok: 'yes' is not 0 or 1")
+
+    def test_scalar_given_twice(self, tmp_path, short_run):
+        self.expect(tmp_path, short_run[2], self.set_line("avg_power", "1.0,2.0"), "field avg_power has 2 values, expected 1")
+
+    def test_line_without_value(self, tmp_path, short_run):
+        self.expect(tmp_path, short_run[2], lambda text: text + "garbage\n", "line 9 is not 'key = value'")

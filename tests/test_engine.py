@@ -172,7 +172,17 @@ def test_run_rejects_bad_horizon():
         run(config)
 
 
-# SHA-256 of (trace.csv, summary.txt) at T=3000, seed 1, by scenario and policy.
+# Config updates of each pinned scenario, all at seed 1.  At T=3000 the
+# receiver stays near the base station and no cap binds, so the three solver
+# policies write one trace; at 0.5 W and T=12000 the power price and the
+# dynamic caps bind and each policy writes its own.
+PINNED_SCENARIOS = {
+    "default": {"horizon": 3000},
+    "avg_power=0.5": {"horizon": 3000, "avg_power": 0.5},
+    "binding": {"horizon": 12_000, "avg_power": 0.5},
+}
+
+# SHA-256 of (trace.csv, summary.txt) by scenario and policy.
 PINNED_OUTPUTS = {
     ("default", "cpa-dynamic"): (
         "3f181ddb491c1256e5098b3090eef35e0cff4f71fc8dddcd99d60a9506a40b35",
@@ -214,6 +224,26 @@ PINNED_OUTPUTS = {
         "da4017438de8ab7c84b19852fa869ad8a9b5b8456635a55c90f7dc2e1f07c729",
         "272617e470fa2336d1a1cb08ee7db6c1b789067679c4d3af1cb2f5329c3bd9cf",
     ),
+    ("binding", "cpa-dynamic"): (
+        "bad81c1b219415d01bfbf1584e5a86e4f69d3a5291fb0469a5280c7bc821e8fa",
+        "e8980c0da94ab21fe2974c3426883a4deee6dfa0bebae7beefd2131b0b38929d",
+    ),
+    ("binding", "cpa-static"): (
+        "06260bd5fffb7ba4b3148dc951a3c13fc1bfbb08cf012da6f6ef90d016f6c406",
+        "35afb43f2f88a38d425bb0ded6e5ae426b1b566ecf03ab9f9aed064beec04874",
+    ),
+    ("binding", "proposed"): (
+        "50ce49363d082bfa834f559f9be821f9d6344e87476e16b1e83e811101874702",
+        "58b464f223454e8bab2cafc842cb38c0502e4657b8384d89a9b747dc792153f1",
+    ),
+    ("binding", "wfpa-dynamic"): (
+        "623cf2a98ad35e996661701a14f1ef51fbdbad3623426e1b141430d4512c1d4a",
+        "15c4e4f8242370a4981bcb96ae25afa4ec90c307fb3fc98f7fe2b535394f644a",
+    ),
+    ("binding", "wfpa-static"): (
+        "6d91307b0f6b667974fa0a33a16f310588530d36ee519a9e9d9e50a495fae843",
+        "d5ee433bba5baa4c04aace81211dd408d2f9fd8fc2d1fad08b93dd1e39fe0e9d",
+    ),
 }
 
 
@@ -224,11 +254,11 @@ def test_outputs_pinned(tmp_path, scenario, policy):
     The digests were generated with the engine that kept one power virtual
     queue per service and built per-slot channel, arrival and action
     objects, and with the row-by-row trace writer, before either was
-    replaced.  A change that alters any decision or any written byte fails
-    here.
+    replaced; the binding scenario's with the engine that still kept a
+    separate code path per policy kind.  A change that alters any decision
+    or any written byte fails here.
     """
-    updates = {"avg_power": 0.5} if scenario == "avg_power=0.5" else {}
-    config = small_config(horizon=3000, seed=1, **updates)
+    config = small_config(seed=1, **PINNED_SCENARIOS[scenario])
     trace, summary = run(config, policy=policy)
     write_trace(trace, tmp_path / "trace.csv")
     write_summary(summary, tmp_path / "summary.txt")

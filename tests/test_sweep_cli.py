@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,76 @@ class TestSweep:
             SweepSpec(parameter="omega", values=(), policies=("proposed",))
         with pytest.raises(ValueError):
             SweepSpec(parameter="omega", values=(1.0,), policies=("proposed",), replications=0)
+
+
+@pytest.fixture(scope="module")
+def sweep_lines(tmp_path_factory):
+    """Lines of a written sweep table: rows 0 (30 W cap, below the budget) failed, rows 1 and 2 ok."""
+    spec = SweepSpec(parameter="pmax", values=(30.0, 50.0, 60.0), policies=("proposed",), replications=1)
+    path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+    write_sweep(run_sweep(spec, with_updates(BASE, horizon=120)), path)
+    return path.read_text().splitlines()
+
+
+class TestSweepRejectsBadFiles:
+    """Each malformed sweep table raises ValueError naming the file and, where one applies, the row and column."""
+
+    @staticmethod
+    def write(tmp_path, lines, edit=None):
+        lines = list(lines)
+        if edit is not None:
+            edit(lines)
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @staticmethod
+    def set_field(lines, row, column, value):
+        fields = lines[1 + row].split(",", maxsplit=10)
+        fields[lines[0].split(",").index(column)] = value
+        lines[1 + row] = ",".join(fields)
+
+    def expect(self, path, message):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_sweep(path)
+
+    def test_failed_row_keeps_nan(self, tmp_path, sweep_lines):
+        table = read_sweep(self.write(tmp_path, sweep_lines))
+        assert [r.status for r in table.rows] == ["failed", "ok", "ok"]
+        assert math.isnan(table.rows[0].avg_power) and table.rows[0].avg_delay == ()
+
+    def test_truncated_row(self, tmp_path, sweep_lines):
+        path = self.write(tmp_path, sweep_lines, lambda lines: lines.__setitem__(2, lines[2].rsplit(",", 4)[0]))
+        self.expect(path, "row 1 has 7 fields, but the header has 11 columns")
+
+    def test_non_numeric_value(self, tmp_path, sweep_lines):
+        path = self.write(tmp_path, sweep_lines, lambda lines: self.set_field(lines, 2, "value", "sixty"))
+        self.expect(path, "row 2, column value: could not convert string to float: 'sixty'")
+
+    def test_nan_in_ok_row(self, tmp_path, sweep_lines):
+        path = self.write(tmp_path, sweep_lines, lambda lines: self.set_field(lines, 1, "avg_power", "nan"))
+        self.expect(path, "row 1, column avg_power: 'nan' is not finite")
+
+    def test_wrong_k(self, tmp_path, sweep_lines):
+        path = self.write(tmp_path, sweep_lines, lambda lines: self.set_field(lines, 2, "avg_delay", "1.0;2.0"))
+        self.expect(path, "row 2, column avg_delay: 2 values, but earlier rows have 6")
+
+    def test_bad_status(self, tmp_path, sweep_lines):
+        path = self.write(tmp_path, sweep_lines, lambda lines: self.set_field(lines, 1, "status", "done"))
+        self.expect(path, "row 1, column status: 'done' is not 'ok' or 'failed'")
+
+    def test_bad_flag(self, tmp_path, sweep_lines):
+        path = self.write(tmp_path, sweep_lines, lambda lines: self.set_field(lines, 1, "power_ok", "2"))
+        self.expect(path, "row 1, column power_ok: '2' is not 0 or 1")
+
+    def test_bad_header(self, tmp_path, sweep_lines):
+        path = self.write(tmp_path, sweep_lines, lambda lines: lines.__setitem__(0, lines[0].replace("seed", "sed")))
+        self.expect(path, "unexpected sweep header")
+
+    def test_plotdata_exit_code(self, tmp_path, sweep_lines, capsys):
+        path = self.write(tmp_path, sweep_lines, lambda lines: lines.__setitem__(2, lines[2].rsplit(",", 4)[0]))
+        assert main(["plotdata", "--figure", "fig6", "--source", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path}: row 1 has 7 fields" in capsys.readouterr().err
 
 
 class TestPlotData:
