@@ -15,7 +15,7 @@ from .channel import (
     power_for_capacity,
 )
 from .config import ConfigError, ScenarioConfig, default_config, load_config, with_updates
-from .engine import PacketDelayTracker, SimSummary, Trace, replay_check, run, summarize
+from .engine import PacketDelayTracker, SimSummary, Trace, audit_decisions, replay_check, run, summarize
 from .policies import Policy, build_policy, cpa_profile, decide, wfpa_profile
 from .queues import (
     ArrivalProcess,

@@ -25,7 +25,7 @@ import numpy as np
 FLOOR_EPS = 1e-9
 
 # Exponent guard: 2^x with x above this is not representable in a double.
-_MAX_EXPONENT = 1000.0
+MAX_EXPONENT = 1000.0
 
 
 def floor_eps(x: float) -> int:
@@ -43,9 +43,10 @@ class Geometry:
     slot_duration: float  # Ts, seconds
 
     def __post_init__(self) -> None:
+        # NaN fails the chained comparison, so it is rejected with infinities.
         for name in ("cell_radius", "rail_offset", "speed", "slot_duration"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"Geometry.{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"Geometry.{name} must be finite and positive, got {getattr(self, name)}")
 
     @property
     def max_distance(self) -> float:
@@ -75,16 +76,13 @@ class RadioParams:
     max_power: float  # instantaneous power cap, W
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError("RadioParams.bandwidth must be positive")
-        if self.noise_psd <= 0:
-            raise ValueError("RadioParams.noise_psd must be positive")
-        if self.pathloss_exp < 0:
-            raise ValueError("RadioParams.pathloss_exp must be non-negative")
-        if self.packet_bits <= 0:
-            raise ValueError("RadioParams.packet_bits must be positive")
-        if self.eta <= 0:
-            raise ValueError("RadioParams.eta must be positive")
+        # NaN fails the chained comparisons, so it is rejected with infinities.
+        for name in ("bandwidth", "noise_psd", "packet_bits", "eta"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"RadioParams.{name} must be finite and positive, got {getattr(self, name)}")
+        if not 0.0 <= self.pathloss_exp < math.inf:
+            raise ValueError(f"RadioParams.pathloss_exp must be finite and non-negative, got {self.pathloss_exp}")
+        # A NaN or infinite cap is the config validator's to reject, by its config key.
         if self.max_power < 0:
             raise ValueError("RadioParams.max_power must be non-negative")
 
@@ -143,7 +141,7 @@ def power_for_capacity(capacity: float, noise: float, eta: float) -> float:
     if capacity == 0.0:
         return 0.0
     exponent = eta * capacity
-    if exponent > _MAX_EXPONENT:
+    if exponent > MAX_EXPONENT:
         raise ValueError(f"capacity {capacity} exceeds the representable power range")
     return noise * (2.0**exponent - 1.0)
 

@@ -9,6 +9,9 @@ transition can be replayed exactly from consecutive rows.
 
 Average delay is reported through Little's law, W_k = Qbar_k / admitted
 rate; an optional per-packet tracker cross-checks that accounting.
+
+Two checks read a finished trace: `replay_check` replays every state
+transition and `audit_decisions` re-derives every slot's action.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import capacity_cap_profile, distance_profile, noise_profile
+from .channel import FLOOR_EPS, capacity_cap_profile, distance_profile, noise_profile
 from .config import ScenarioConfig
 from .policies import POWER_CAP_RTOL, build_policy, decide
 from .queues import ArrivalProcess, SystemState, update_real_queue, update_virtual_delay, update_virtual_power
+from .solver import SlotInstance, brute_force_slot
 
 
 @dataclass
@@ -144,7 +148,6 @@ def run(
 
     power_sum = 0.0
     backlog_sum = [0] * num_services
-    admitted_sum = [0] * num_services
     drop_sum = [0] * num_services
 
     for t in range(horizon):
@@ -172,16 +175,17 @@ def run(
         drops = update_real_queue(state, allocation, counts, traffic)
         update_virtual_delay(state, traffic)
         update_virtual_power(state, power, traffic)
-        state.slot = t + 1
 
-        admitted = [c - d for c, d in zip(counts, drops)]
-        admitted_sum = [s + a for s, a in zip(admitted_sum, admitted)]
-        drop_sum = [s + d for s, d in zip(drop_sum, drops)]
-        if record_trace:
-            trace.drops[t] = sum(drops)
+        # Drops are rare; the trace column is already zero-filled.
+        if any(drops):
+            drop_sum = [s + d for s, d in zip(drop_sum, drops)]
+            if record_trace:
+                trace.drops[t] = sum(drops)
         if packet_tracker is not None:
-            packet_tracker.on_slot(t, allocation, admitted)
+            packet_tracker.on_slot(t, allocation, [c - d for c, d in zip(counts, drops)])
 
+    # Admitted packets are the arrivals less the drops: exact integer column sums.
+    admitted_sum = [a - d for a, d in zip(arrivals_all.sum(axis=0).tolist(), drop_sum)]
     summary = _summary_from_totals(power_sum, backlog_sum, admitted_sum, drop_sum, horizon, traffic)
     return trace, summary
 
@@ -251,3 +255,117 @@ def replay_check(trace: Trace, config: ScenarioConfig) -> None:
     if not np.array_equal(drops, trace.drops[:-1]):
         bad = int(np.argwhere(drops != trace.drops[:-1])[0][0])
         raise AssertionError(f"drop-count replay mismatch at slot {bad}")
+
+
+def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
+    """Verify every recorded action against the named policy's rule.
+
+    Each slot's input is rebuilt from the trace's slot-start X, Q and Y and
+    from the scenario: N(t), the policy's power cap from `build_policy` and
+    the packet cap from `capacity_cap_profile`.  A static policy must send at
+    its power cap, with capacity floor_eps(packet cap); a solver policy must
+    carry the slot optimum C* at power N(2^(eta C*) - 1), within its cap.
+    Both split the packets greedily in descending X.  C* is found for all
+    slots at once by a vectorised threshold rule; where it differs from the
+    recorded capacity (np.log2 and numpy's power can differ from the math
+    module in the last ulp), `brute_force_slot` settles the slot, since a
+    rerun of `solve_slot` would vouch for its own mistakes.
+
+    Raises AssertionError naming the first slot whose action is wrong.
+    """
+    horizon, num_services = len(trace), trace.num_services
+    if horizon != config.horizon:
+        raise ValueError(f"trace has {horizon} slots but the scenario's horizon is {config.horizon}")
+    radio, traffic, eta = config.radio, config.traffic, config.radio.eta
+    noises = noise_profile(distance_profile(horizon, config.geometry), radio)
+    _require(trace.noise != noises, "recorded noise is not the scenario's N(t)")
+    rule = build_policy(policy, traffic.avg_power, radio.max_power, noises)
+    power_cap = rule.power_cap
+    caps = capacity_cap_profile(noises, power_cap, eta)
+    limit = np.floor(caps + FLOOR_EPS).astype(np.int64)
+
+    weights, backlogs = trace.virtual_delay, trace.queues
+    order = np.argsort(-weights, axis=1, kind="stable")
+    xs = np.take_along_axis(weights, order, axis=1)
+    prefix = np.zeros((horizon, num_services + 1), dtype=np.int64)
+    np.cumsum(np.take_along_axis(backlogs, order, axis=1), axis=1, out=prefix[:, 1:])
+
+    if rule.static:
+        capacity = limit
+        served = np.minimum(limit, prefix[:, -1])
+        power = power_cap
+    else:
+        beta = config.omega * noises * (num_services * trace.virtual_power)
+        capacity = _slot_optima(xs, prefix, beta, eta, np.minimum(prefix[:, -1], limit))
+        for t in np.flatnonzero(capacity != trace.capacity).tolist():
+            inst = SlotInstance(
+                tuple(weights[t].tolist()), tuple(backlogs[t].tolist()), float(beta[t]), eta, float(noises[t]), float(caps[t])
+            )
+            capacity[t] = brute_force_slot(inst).capacity
+            if capacity[t] != trace.capacity[t]:
+                raise AssertionError(f"slot {t}: recorded capacity {trace.capacity[t]} but the slot optimum is {capacity[t]}")
+        served = capacity
+        # Python's float power, as the solver prices C*; numpy's can differ in the last ulp.
+        needed = np.array([n * (2.0 ** (eta * c) - 1.0) for n, c in zip(noises.tolist(), capacity.tolist())])
+        _require(needed > power_cap * (1.0 + POWER_CAP_RTOL), "the slot optimum needs more than the power cap")
+        power = np.where(needed > power_cap, power_cap, needed)
+
+    share = np.clip(served[:, None] - prefix[:, :-1], 0, np.diff(prefix, axis=1))
+    allocation = np.empty_like(share)
+    np.put_along_axis(allocation, order, share, axis=1)
+    _require(trace.capacity != capacity, "recorded capacity is not the policy's")
+    _require(trace.power != power, "recorded power is not the policy's")
+    _require(trace.served != served, "recorded packets served are not the policy's")
+    _require(np.any(trace.allocation != allocation, axis=1), "recorded split is not the greedy one")
+
+
+def _require(bad: np.ndarray, message: str) -> None:
+    if bad.any():
+        raise AssertionError(f"slot {int(np.flatnonzero(bad)[0])}: {message}")
+
+
+def _slot_optima(xs: np.ndarray, prefix: np.ndarray, beta: np.ndarray, eta: float, hi: np.ndarray) -> np.ndarray:
+    """`solve_slot`'s capacity for every row at once: threshold walk, then neighbour steps.
+
+    Row t holds one slot's weights in descending order (`xs`), the backlog
+    prefix sums in that order, the power price and the largest feasible C.
+    """
+    horizon, num_services = xs.shape
+    unit = beta * (2.0**eta - 1.0)
+    priced = unit > 0.0
+    c = np.zeros(horizon, dtype=np.int64)
+    walking = hi > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_unit = np.log2(np.where(priced, unit, 1.0))
+        for i in range(num_services):
+            walking &= (xs[:, i] > 0.0) & (c < hi)
+            last = np.minimum(prefix[:, i + 1], hi)
+            bound = (np.log2(xs[:, i]) - log_unit) / eta
+            stop = walking & priced & ~(bound >= last)
+            lift = stop & (bound > c)
+            c[lift] = np.ceil(bound[lift])
+            walking &= ~stop
+            c[walking] = last[walking]
+
+    def objective(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
+        # M1 summed segment by segment in `_m1`'s order (segments past n add +0.0).
+        m1 = np.zeros(len(rows))
+        for i in range(num_services):
+            lo = prefix[rows, i]
+            m1 += xs[rows, i] * np.clip(n - lo, 0, prefix[rows, i + 1] - lo)
+        return m1 - beta[rows] * (2.0 ** (eta * n) - 1.0)
+
+    # Step up while the float objective rises, then down while it does not
+    # fall, so ties go to the smaller C.
+    for step, better in ((1, np.greater), (-1, np.greater_equal)):
+        rows = np.flatnonzero(hi > 0)
+        value = objective(rows, c[rows])
+        while rows.size:
+            n = c[rows] + step
+            inside = (n >= 0) & (n <= hi[rows])
+            rows, value, n = rows[inside], value[inside], n[inside]
+            candidate = objective(rows, n)
+            moved = better(candidate, value)
+            rows, value = rows[moved], candidate[moved]
+            c[rows] = n[moved]
+    return c

@@ -45,10 +45,12 @@ class TrafficParams:
         if len(self.delay_bounds) != len(self.arrival_rates):
             raise ValueError("arrival_rates and delay_bounds must have equal length")
         # Zero rates are allowed so degenerate no-traffic runs stay testable.
-        if any(rate < 0 for rate in self.arrival_rates):
-            raise ValueError("arrival rates must be non-negative")
-        if any(bound <= 0 for bound in self.delay_bounds):
-            raise ValueError("delay bounds must be positive")
+        # NaN fails every chained comparison, so these reject it too.
+        if not all(0.0 <= rate < math.inf for rate in self.arrival_rates):
+            raise ValueError(f"arrival rates must be finite and non-negative, got {self.arrival_rates}")
+        if not all(0.0 < bound < math.inf for bound in self.delay_bounds):
+            raise ValueError(f"delay bounds must be finite and positive, got {self.delay_bounds}")
+        # A NaN or infinite budget is the config validator's to reject, by its config key.
         if self.avg_power <= 0:
             raise ValueError("avg_power must be positive")
         if self.buffer_cap <= 0:
@@ -76,11 +78,10 @@ class SystemState:
     queues: list[int]
     virtual_delay: list[float]
     virtual_power: float
-    slot: int = 0
 
     @classmethod
     def initial(cls, num_services: int) -> "SystemState":
-        return cls(queues=[0] * num_services, virtual_delay=[0.0] * num_services, virtual_power=0.0, slot=0)
+        return cls(queues=[0] * num_services, virtual_delay=[0.0] * num_services, virtual_power=0.0)
 
 
 def _cdf_table(rate: float) -> list[float]:

@@ -21,17 +21,30 @@ weight segment,
 then compare the integer neighbours of that point on the float objective,
 ties to the smaller C.  This is the same global optimum the paper reaches
 by golden-section search over the relaxed concave M(C) plus rounding, found
-exactly in one pass over the sorted weights, with no iteration and no
-stopping width.  `brute_force_slot` enumerates every integer C as an
-independent check of that whole chain.
+exactly with no iteration and no stopping width.
+
+`solve_slot` does it in one pass: one sort of the services by weight, the
+backlog prefix sums prefix[i] and the table full[i] = M1(prefix[i]), the
+threshold walk, the neighbour steps, then the greedy split (stopping once C
+is used up) and the power N * (2^(eta*C) - 1).
+A neighbour step reads M1(n) from the table: with j the first index where
+prefix[j] >= n, it is full[j] when prefix[j] == n and otherwise
+full[j-1] + x_{j-1} * (n - prefix[j-1]).  That is bit for bit the float the
+segment walk `_m1` returns, because `full` is summed segment by segment in
+the walk's order and the zero-backlog segments the walk would also visit
+add exactly +0.0.  `brute_force_slot` keeps its own path through `_m1` and
+enumerates every integer C, as an independent check of that whole chain.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
-from .channel import floor_eps, power_for_capacity
+from .channel import MAX_EXPONENT, floor_eps, power_for_capacity
 
 # Brute-force enumeration refuses instances beyond this many candidates.
 _BRUTE_FORCE_LIMIT = 100_000
@@ -92,7 +105,8 @@ class SlotSolution:
 
 def service_order(inst: SlotInstance) -> list[int]:
     """Service indices in descending weight order, ties broken by ascending index."""
-    return sorted(range(len(inst.weights)), key=lambda k: (-inst.weights[k], k))
+    # Python's sort is stable under reverse=True, so equal weights keep ascending index.
+    return sorted(range(len(inst.weights)), key=inst.weights.__getitem__, reverse=True)
 
 
 def _sorted_view(inst: SlotInstance) -> tuple[list[int], list[float], list[int]]:
@@ -136,9 +150,13 @@ def greedy_allocation(capacity: int, inst: SlotInstance) -> list[int]:
 
 
 def _fill(capacity: int, backlogs: tuple[int, ...], order: list[int], prefix: list[int]) -> list[int]:
+    # Services past the one that exhausts `capacity` get nothing.
     mu = [0] * len(order)
     for i, k in enumerate(order):
-        mu[k] = min(max(capacity - prefix[i], 0), backlogs[k])
+        if prefix[i + 1] >= capacity:
+            mu[k] = capacity - prefix[i]
+            break
+        mu[k] = backlogs[k]
     return mu
 
 
@@ -165,48 +183,57 @@ def objective_value(capacity: float, inst: SlotInstance) -> float:
     return m1_value(capacity, inst) - m2_value(capacity, inst)
 
 
-def _exact(inst: SlotInstance, xs: list[float], prefix: list[int]) -> tuple[int, float]:
-    # Threshold rule: packet c+1 gains its service weight x and costs
-    # beta * 2^(eta*c) * (2^eta - 1), so on each weight segment it is worth
-    # taking while c < (log2(x) - log2(beta * (2^eta - 1))) / eta.
-    hi = min(prefix[-1], floor_eps(inst.capacity_cap))
-    if hi <= 0:
-        return 0, 0.0
-    beta, eta = inst.beta, inst.eta
-    unit = beta * (2.0 ** eta - 1.0)
-    log_unit = math.log2(unit) if unit > 0.0 else 0.0
-    c = 0
-    for i, x in enumerate(xs):
-        if x <= 0.0 or c >= hi:
-            break
-        last = min(prefix[i + 1], hi)
-        if unit > 0.0:
-            bound = (math.log2(x) - log_unit) / eta
-            if not bound >= last:
-                if bound > c:
-                    c = math.ceil(bound)
-                break
-        c = last
-
-    # The float objective can disagree with the threshold by one packet near
-    # a tie; settle on the float optimum with the expression the oracle uses,
-    # stepping down on equality so ties go to the smaller C.
-    def m(n: int) -> float:
-        return _m1(float(n), xs, prefix) - beta * (2.0 ** (eta * n) - 1.0)
-
-    best = m(c)
-    while c < hi and (up := m(c + 1)) > best:
-        c, best = c + 1, up
-    while c > 0 and (down := m(c - 1)) >= best:
-        c, best = c - 1, down
-    return c, best
-
-
 def solve_slot(inst: SlotInstance) -> SlotSolution:
-    """Full slot solve: exact integer optimum, then price and split it."""
-    order, xs, prefix = _sorted_view(inst)
-    c_star, objective = _exact(inst, xs, prefix)
-    return _solution_at(c_star, objective, inst, order, prefix)
+    """Full slot solve in one pass: sort, threshold rule, neighbour steps, split and price."""
+    weights, backlogs, beta, eta = inst.weights, inst.backlogs, inst.beta, inst.eta
+    order = service_order(inst)
+    xs = [weights[k] for k in order]
+    qs = [backlogs[k] for k in order]
+    # prefix[i] is the backlog of the i highest-weight services and full[i] is
+    # M1(prefix[i]), summed segment by segment in `_m1`'s order.
+    prefix = list(accumulate(qs, initial=0))
+    full = list(accumulate(map(mul, xs, qs), initial=0.0))
+
+    hi = min(prefix[-1], floor_eps(inst.capacity_cap))
+    c, objective = 0, 0.0
+    if hi > 0:
+        # Threshold rule: packet c+1 gains its service weight x and costs
+        # beta * 2^(eta*c) * (2^eta - 1), so on each weight segment it is worth
+        # taking while c < (log2(x) - log2(beta * (2^eta - 1))) / eta.
+        unit = beta * (2.0**eta - 1.0)
+        log_unit = math.log2(unit) if unit > 0.0 else 0.0
+        for i, x in enumerate(xs):
+            if x <= 0.0 or c >= hi:
+                break
+            last = min(prefix[i + 1], hi)
+            if unit > 0.0:
+                bound = (math.log2(x) - log_unit) / eta
+                if not bound >= last:
+                    if bound > c:
+                        c = math.ceil(bound)
+                    break
+            c = last
+
+        # The float objective can disagree with the threshold by one packet
+        # near a tie; settle on the float optimum, stepping down on equality so
+        # ties go to the smaller C.  M1(n) comes from the first prefix entry at
+        # or above n: that entry itself, or the segment below it plus a part.
+        def m(n: int) -> float:
+            j = bisect_left(prefix, n)
+            m1 = full[j] if prefix[j] == n else full[j - 1] + xs[j - 1] * (n - prefix[j - 1])
+            return m1 - beta * (2.0 ** (eta * n) - 1.0)
+
+        objective = m(c)
+        while c < hi and (up := m(c + 1)) > objective:
+            c, objective = c + 1, up
+        while c > 0 and (down := m(c - 1)) >= objective:
+            c, objective = c - 1, down
+
+    exponent = eta * c
+    if exponent > MAX_EXPONENT:
+        raise ValueError(f"capacity {float(c)} exceeds the representable power range")
+    power = inst.noise_equiv * (2.0**exponent - 1.0)
+    return SlotSolution(capacity=c, power=power, allocation=tuple(_fill(c, backlogs, order, prefix)), objective=objective)
 
 
 def brute_force_slot(inst: SlotInstance) -> SlotSolution:

@@ -14,7 +14,7 @@ import pytest
 
 from railsched.channel import distance_profile, noise_equiv, noise_profile
 from railsched.config import default_config, with_updates
-from railsched.engine import replay_check, run
+from railsched.engine import audit_decisions, replay_check, run
 from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, objective_value, solve_slot
 from railsched.sweep import SweepSpec, run_sweep
 from railsched.traceio import write_trace
@@ -370,10 +370,12 @@ def test_criterion_10_replay_and_determinism(baseline_runs, tmp_path):
     config, results = baseline_runs
     trace = results[SEEDS[0]][0]
     replay_check(trace, config)
+    audit_decisions(trace, config, "proposed")
 
     short = with_updates(config, horizon=20_000)
     trace_a, _ = run(short, seed=SEEDS[0])
     trace_b, _ = run(short, seed=SEEDS[0])
+    audit_decisions(trace_a, short, "proposed")
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace(trace_a, first)
     write_trace(trace_b, second)
@@ -381,5 +383,6 @@ def test_criterion_10_replay_and_determinism(baseline_runs, tmp_path):
     _report(
         "criterion 10 (replay and determinism)",
         identical,
-        f"full {HORIZON}-slot trace replays exactly; identical seeds give byte-identical trace files ({identical})",
+        f"full {HORIZON}-slot trace replays exactly and every decision audits; "
+        f"identical seeds give byte-identical trace files ({identical})",
     )

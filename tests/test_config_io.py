@@ -144,6 +144,30 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"radio\.max_power_w must be finite and positive"):
             load_config(max_power_w=str(max_power))
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "geometry.cell_radius_m",
+            "geometry.rail_offset_m",
+            "geometry.speed_kmh",
+            "geometry.slot_duration_s",
+            "radio.bandwidth_hz",
+            "radio.noise_psd_dbm_hz",
+            "radio.pathloss_exp",
+            "radio.packet_bits",
+            "traffic.arrival_rate_pkts",
+            "traffic.delay_bound_slots",
+            "traffic.avg_power_w",
+        ],
+    )
+    def test_non_finite_field_rejected(self, key, value):
+        # `x < 0` and `x <= 0` let NaN through: a NaN rate once loaded and
+        # died mid-run, and a NaN delay bound ran to the end as "missed"
+        section = key.split(".")[0]
+        with pytest.raises(ConfigError, match=rf"^{section}[.:]"):
+            load_config(**{key: value})
+
 
 @pytest.fixture(scope="module")
 def short_run():

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from railsched.config import default_config, with_updates
-from railsched.engine import PacketDelayTracker, Trace, replay_check, run, summarize
+from railsched.config import default_config, load_config, with_updates
+from railsched.engine import PacketDelayTracker, Trace, audit_decisions, replay_check, run, summarize
 from railsched.policies import POLICY_NAMES
 from railsched.traceio import write_summary, write_trace
 
@@ -165,6 +165,32 @@ def test_replay_detects_tampering():
         replay_check(trace, config)
 
 
+@pytest.mark.parametrize("policy", ["proposed", "cpa-dynamic", "wfpa-static"])
+@pytest.mark.parametrize("column", ["capacity", "power", "allocation"])
+def test_audit_detects_tampered_decision(policy, column):
+    config = small_config(horizon=300)
+    trace, _ = run(config, policy=policy)
+    audit_decisions(trace, config, policy)
+    slot = 150
+    if column == "allocation":
+        k = int(np.argmax(trace.queues[slot]))
+        trace.allocation[slot, k] += 1 if trace.allocation[slot, k] < trace.queues[slot, k] else -1
+    else:
+        getattr(trace, column)[slot] += 1
+    with pytest.raises(AssertionError, match=f"slot {slot}:"):
+        audit_decisions(trace, config, policy)
+
+
+def test_audit_checks_the_named_policy():
+    # at 0.5 W the dynamic caps bind, so a proposed trace is not a cpa-dynamic one
+    config = small_config(horizon=12_000, seed=1, avg_power=0.5)
+    trace, _ = run(config, policy="proposed")
+    with pytest.raises(AssertionError, match="slot"):
+        audit_decisions(trace, config, "cpa-dynamic")
+    with pytest.raises(ValueError, match="horizon"):
+        audit_decisions(trace, small_config(horizon=100), "proposed")
+
+
 def test_run_rejects_bad_horizon():
     config = small_config()
     object.__setattr__(config, "horizon", 0)
@@ -172,14 +198,17 @@ def test_run_rejects_bad_horizon():
         run(config)
 
 
-# Config updates of each pinned scenario, all at seed 1.  At T=3000 the
+# Config keys of each pinned scenario, all at seed 1.  At T=3000 the
 # receiver stays near the base station and no cap binds, so the three solver
 # policies write one trace; at 0.5 W and T=12000 the power price and the
-# dynamic caps bind and each policy writes its own.
+# dynamic caps bind and each policy writes its own.  The dropping scenario
+# adds a 300-packet buffer, so every policy overflows it (proposed drops
+# 13 610 packets).
 PINNED_SCENARIOS = {
     "default": {"horizon": 3000},
-    "avg_power=0.5": {"horizon": 3000, "avg_power": 0.5},
-    "binding": {"horizon": 12_000, "avg_power": 0.5},
+    "avg_power=0.5": {"horizon": 3000, "avg_power_w": 0.5},
+    "binding": {"horizon": 12_000, "avg_power_w": 0.5},
+    "dropping": {"horizon": 12_000, "avg_power_w": 0.5, "buffer_cap_pkts": 300},
 }
 
 # SHA-256 of (trace.csv, summary.txt) by scenario and policy.
@@ -244,6 +273,26 @@ PINNED_OUTPUTS = {
         "6d91307b0f6b667974fa0a33a16f310588530d36ee519a9e9d9e50a495fae843",
         "d5ee433bba5baa4c04aace81211dd408d2f9fd8fc2d1fad08b93dd1e39fe0e9d",
     ),
+    ("dropping", "cpa-dynamic"): (
+        "c15480312fab2929c089a16894ed9956474269bb25f683681d2e3edd0d9ba9f1",
+        "13d356ba1e205ff80a582f8b37e5147ac10fcdbc0974917059fb80b8178d30e7",
+    ),
+    ("dropping", "cpa-static"): (
+        "a419ae550392b6612700c47e5b60034288566fe19437cf2074fa165c874a8476",
+        "c716f631b7ce025a68b939358851fc16ef2f89ace480c8ee23ad24fceb997567",
+    ),
+    ("dropping", "proposed"): (
+        "6331116a56bdab6e0021db7b92cd72caf88c614138de340789a950967d65f62c",
+        "eedce3346662c2c9bc51dcdda4e7908932710035d987daa3c5450d5129f2b713",
+    ),
+    ("dropping", "wfpa-dynamic"): (
+        "adb15f7f521ae694661db52f79532c76358c20f83cd02f006e2fae3be7d4e780",
+        "074dafce241953174601cb2cf1b2df208e207db56a7190fd587dee3331c02ef9",
+    ),
+    ("dropping", "wfpa-static"): (
+        "879fb202af5d1061ac1e6e1ff62add9809a724cb4d0b38bb45451643a6e9a33f",
+        "fee72378f3860daebed2950d64bdd31cdb7ec23a3f998bc3fad81072c8bb0bee",
+    ),
 }
 
 
@@ -255,11 +304,16 @@ def test_outputs_pinned(tmp_path, scenario, policy):
     queue per service and built per-slot channel, arrival and action
     objects, and with the row-by-row trace writer, before either was
     replaced; the binding scenario's with the engine that still kept a
-    separate code path per policy kind.  A change that alters any decision
-    or any written byte fails here.
+    separate code path per policy kind; the dropping scenario's with the
+    engine that still summed admitted packets and drops slot by slot.  A
+    change that alters any decision or any written byte fails here, and
+    every recorded decision must be the policy's own.
     """
-    config = small_config(seed=1, **PINNED_SCENARIOS[scenario])
+    config = load_config(None, seed=1, **PINNED_SCENARIOS[scenario])
     trace, summary = run(config, policy=policy)
+    if scenario == "dropping":
+        assert sum(summary.total_drops) > 0
+    audit_decisions(trace, config, policy)
     write_trace(trace, tmp_path / "trace.csv")
     write_summary(summary, tmp_path / "summary.txt")
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("trace.csv", "summary.txt"))

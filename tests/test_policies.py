@@ -98,7 +98,7 @@ class TestBuildPolicy:
 
 
 def _state(queues, weights, y=0.0):
-    return SystemState(queues=list(queues), virtual_delay=list(weights), virtual_power=y, slot=0)
+    return SystemState(queues=list(queues), virtual_delay=list(weights), virtual_power=y)
 
 
 def _policy(name, avg_power=36.0, max_power=50.0):

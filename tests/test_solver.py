@@ -298,6 +298,32 @@ class TestSolveSlot:
         assert solve_slot(scaled).capacity == solve_slot(inst).capacity
 
 
+def test_oracle_equivalence_at_segment_boundaries():
+    # C* exactly on a backlog prefix sum, beside runs of zero-backlog
+    # services and inside equal-weight ties: where M1(C) is read from the
+    # prefix table rather than interpolated, and where a wrong bisect side
+    # or a table index off by one would change the float objective
+    rng = random.Random(29)
+    on_boundary = beside_empty = 0
+    for _ in range(4000):
+        k = rng.randint(1, 7)
+        top, low = rng.choice([1.0, 7.5, 40.0]), rng.choice([0.0, 1e-3, 0.5])
+        weights = [rng.choice([top, top, low, rng.uniform(0.0, 50.0)]) for _ in range(k)]
+        backlogs = [rng.choice([0, 0, rng.randint(1, 12)]) for _ in range(k)]
+        order = sorted(range(k), key=lambda i: (-weights[i], i))
+        prefix = list(itertools.accumulate((backlogs[i] for i in order), initial=0))
+        cap = rng.choice([1e4, float(rng.choice(prefix)), rng.choice(prefix) + 0.5])
+        beta = rng.choice([0.0, 1e-9, 10.0 ** rng.uniform(-4.0, 1.0)])
+        inst = make_instance(weights, backlogs, beta=beta, capacity_cap=cap)
+        fast, slow = solve_slot(inst), brute_force_slot(inst)
+        assert (fast.capacity, fast.allocation, fast.objective) == (slow.capacity, slow.allocation, slow.objective), inst
+        if fast.capacity in prefix[1:]:
+            on_boundary += 1
+            j = prefix.index(fast.capacity)
+            beside_empty += fast.capacity in prefix[j + 1 :] or (j >= 2 and prefix[j - 2] == prefix[j - 1])
+    assert on_boundary >= 1000 and beside_empty >= 300, (on_boundary, beside_empty)
+
+
 class TestBruteForce:
     def test_scale_guard(self):
         with pytest.raises(ValueError):
