@@ -5,17 +5,9 @@ virtual-queue drift, with static and dynamic power-allocation baselines,
 a deterministic simulation engine, and an experiment harness.
 """
 
-from .channel import (
-    Geometry,
-    RadioParams,
-    capacity_cap,
-    distance_at,
-    link_capacity,
-    noise_equiv,
-    power_for_capacity,
-)
+from .channel import Geometry, RadioParams, power_for_capacity
 from .config import ConfigError, ScenarioConfig, default_config, load_config, with_updates
-from .engine import PacketDelayTracker, SimSummary, Trace, audit_decisions, replay_check, run, summarize
+from .engine import SimSummary, Trace, audit_decisions, replay_check, run, summarize
 from .policies import Policy, build_policy, cpa_profile, decide, wfpa_profile
 from .queues import (
     ArrivalProcess,
@@ -25,16 +17,7 @@ from .queues import (
     update_virtual_delay,
     update_virtual_power,
 )
-from .solver import (
-    SlotInstance,
-    SlotSolution,
-    brute_force_slot,
-    greedy_allocation,
-    m1_value,
-    m2_value,
-    objective_value,
-    solve_slot,
-)
+from .solver import SlotInstance, SlotSolution, brute_force_slot, greedy_allocation, solve_slot
 from .sweep import SweepSpec, SweepTable, emit_plotdata, run_sweep
 
 __version__ = "0.1.0"

@@ -87,23 +87,12 @@ class RadioParams:
             raise ValueError("RadioParams.max_power must be non-negative")
 
 
-def distance_at(slot: int, geom: Geometry) -> float:
-    """BS-receiver distance at the start of `slot`, nearest-BS association.
+def distance_profile(num_slots: int, geom: Geometry) -> np.ndarray:
+    """BS-receiver distance at the start of each slot 0..num_slots-1, nearest-BS association.
 
     Position along the track is s = v * t * Ts; the horizontal offset to the
     closest base station is min(s mod 2R, 2R - s mod 2R).
     """
-    if slot < 0:
-        raise ValueError("slot must be non-negative")
-    s = geom.speed * slot * geom.slot_duration
-    span = 2.0 * geom.cell_radius
-    x = math.fmod(s, span)
-    h = min(x, span - x)
-    return math.hypot(h, geom.rail_offset)
-
-
-def distance_profile(num_slots: int, geom: Geometry) -> np.ndarray:
-    """Vectorized `distance_at` for slots 0..num_slots-1."""
     s = geom.speed * geom.slot_duration * np.arange(num_slots, dtype=np.float64)
     span = 2.0 * geom.cell_radius
     x = np.fmod(s, span)
@@ -111,27 +100,9 @@ def distance_profile(num_slots: int, geom: Geometry) -> np.ndarray:
     return np.hypot(h, geom.rail_offset)
 
 
-def noise_equiv(distance: float, radio: RadioParams) -> float:
-    """Noise-equivalent power N = B * N0 * d^alpha folding pathloss into the SNR denominator."""
-    if distance <= 0:
-        raise ValueError("distance must be positive")
-    return radio.bandwidth * radio.noise_psd * distance**radio.pathloss_exp
-
-
 def noise_profile(distances: np.ndarray, radio: RadioParams) -> np.ndarray:
-    """Vectorized `noise_equiv`."""
+    """Noise-equivalent power N = B * N0 * d^alpha, folding pathloss into the SNR denominator."""
     return radio.bandwidth * radio.noise_psd * np.asarray(distances, dtype=np.float64) ** radio.pathloss_exp
-
-
-def link_capacity(power: float, noise: float, eta: float) -> int:
-    """Whole packets deliverable in one slot at transmit power `power`."""
-    if power < 0:
-        raise ValueError("power must be non-negative")
-    if noise <= 0 or eta <= 0:
-        raise ValueError("noise and eta must be positive")
-    if power == 0.0:
-        return 0
-    return max(0, floor_eps(math.log2(1.0 + power / noise) / eta))
 
 
 def power_for_capacity(capacity: float, noise: float, eta: float) -> float:
@@ -146,14 +117,7 @@ def power_for_capacity(capacity: float, noise: float, eta: float) -> float:
     return noise * (2.0**exponent - 1.0)
 
 
-def capacity_cap(radio: RadioParams, noise: float) -> float:
-    """Real-valued capacity reachable at the instantaneous power cap."""
-    if noise <= 0:
-        raise ValueError("noise must be positive")
-    return math.log2(1.0 + radio.max_power / noise) / radio.eta
-
-
 def capacity_cap_profile(noises: np.ndarray, power_cap, eta: float) -> np.ndarray:
-    """Vectorized `capacity_cap` for a power cap given once or per slot."""
+    """Real-valued capacity reachable at a power cap given once or per slot."""
     return np.log2(1.0 + power_cap / np.asarray(noises, dtype=np.float64)) / eta
 

@@ -74,14 +74,6 @@ class ScenarioConfig:
     seed: int
     policy: str
 
-    @property
-    def eta(self) -> float:
-        return self.radio.eta
-
-    @property
-    def num_services(self) -> int:
-        return self.traffic.num_services
-
 
 def _parse_rates(raw, count: int, field: str) -> tuple[float, ...]:
     # A scalar applies to every service; a comma list must match num_services.
@@ -243,21 +235,32 @@ def with_updates(config: ScenarioConfig, **kwargs) -> ScenarioConfig:
     ScenarioConfig plus `arrival_rate` / `delay_bound` (scalar, fanned out to
     all services) and `max_power`.
     """
-    geometry, radio, traffic = config.geometry, config.radio, config.traffic
+    radio_fields: dict = {}
+    traffic_fields: dict = {}
     top: dict = {}
+    num_services = config.traffic.num_services
     for name, value in kwargs.items():
         if name == "max_power":
-            radio = dataclasses.replace(radio, max_power=float(value))
+            radio_fields["max_power"] = float(value)
         elif name == "arrival_rate":
-            traffic = dataclasses.replace(traffic, arrival_rates=(float(value),) * traffic.num_services)
+            traffic_fields["arrival_rates"] = (float(value),) * num_services
         elif name == "arrival_rates":
-            traffic = dataclasses.replace(traffic, arrival_rates=tuple(float(v) for v in value))
+            traffic_fields["arrival_rates"] = tuple(float(v) for v in value)
         elif name == "delay_bound":
-            traffic = dataclasses.replace(traffic, delay_bounds=(float(value),) * traffic.num_services)
+            traffic_fields["delay_bounds"] = (float(value),) * num_services
         elif name == "avg_power":
-            traffic = dataclasses.replace(traffic, avg_power=float(value))
+            traffic_fields["avg_power"] = float(value)
         elif name in ("omega", "horizon", "seed", "policy"):
             top[name] = value
         else:
             raise ConfigError(f"with_updates does not know field {name!r}")
-    return _validated(dataclasses.replace(config, geometry=geometry, radio=radio, traffic=traffic, **top))
+    # A bad field value is a ConfigError naming its section, as in `_build`.
+    try:
+        radio = dataclasses.replace(config.radio, **radio_fields)
+    except ValueError as exc:
+        raise ConfigError(f"radio: {exc}") from None
+    try:
+        traffic = dataclasses.replace(config.traffic, **traffic_fields)
+    except ValueError as exc:
+        raise ConfigError(f"traffic: {exc}") from None
+    return _validated(dataclasses.replace(config, radio=radio, traffic=traffic, **top))

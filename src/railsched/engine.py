@@ -8,7 +8,7 @@ slot-start state together with that slot's action and arrivals, so every
 transition can be replayed exactly from consecutive rows.
 
 Average delay is reported through Little's law, W_k = Qbar_k / admitted
-rate; an optional per-packet tracker cross-checks that accounting.
+rate.
 
 Two checks read a finished trace: `replay_check` replays every state
 transition and `audit_decisions` re-derives every slot's action.
@@ -16,7 +16,6 @@ transition and `audit_decisions` re-derives every slot's action.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,39 +67,11 @@ class SimSummary:
     horizon: int
 
 
-class PacketDelayTracker:
-    """Optional FIFO per-packet bookkeeping for validating the Little's-law delay.
-
-    Packets depart head-first within each service; a packet arriving in slot
-    tau and transmitted in slot sigma waited sigma - tau slots.  Dropped
-    packets never enter the books.
-    """
-
-    def __init__(self, num_services: int):
-        self.pending: list[deque[int]] = [deque() for _ in range(num_services)]
-        self.served_delay_total = 0
-        self.served_count = 0
-
-    def on_slot(self, slot: int, allocation: list[int], admitted: list[int]) -> None:
-        for k, mu in enumerate(allocation):
-            q = self.pending[k]
-            for _ in range(mu):
-                self.served_delay_total += slot - q.popleft()
-                self.served_count += 1
-        for k, n in enumerate(admitted):
-            self.pending[k].extend([slot] * n)
-
-    def residual_delay_total(self, final_slot: int) -> int:
-        """Waiting already accrued by still-queued packets, counted through `final_slot`."""
-        return sum(max(final_slot - t, 0) for q in self.pending for t in q)
-
-
 def run(
     config: ScenarioConfig,
     policy: Optional[str] = None,
     seed: Optional[int] = None,
     record_trace: bool = True,
-    packet_tracker: Optional[PacketDelayTracker] = None,
 ) -> tuple[Optional[Trace], SimSummary]:
     """Simulate the whole horizon; deterministic for fixed (config, policy, seed).
 
@@ -171,8 +142,7 @@ def run(
         power_sum += power
         backlog_sum = [b + q for b, q in zip(backlog_sum, state.queues)]
 
-        counts = arrivals_all[t].tolist()
-        drops = update_real_queue(state, allocation, counts, traffic)
+        drops = update_real_queue(state, allocation, arrivals_all[t].tolist(), traffic)
         update_virtual_delay(state, traffic)
         update_virtual_power(state, power, traffic)
 
@@ -181,8 +151,6 @@ def run(
             drop_sum = [s + d for s, d in zip(drop_sum, drops)]
             if record_trace:
                 trace.drops[t] = sum(drops)
-        if packet_tracker is not None:
-            packet_tracker.on_slot(t, allocation, [c - d for c, d in zip(counts, drops)])
 
     # Admitted packets are the arrivals less the drops: exact integer column sums.
     admitted_sum = [a - d for a, d in zip(arrivals_all.sum(axis=0).tolist(), drop_sum)]

@@ -49,9 +49,6 @@ from .channel import MAX_EXPONENT, floor_eps, power_for_capacity
 # Brute-force enumeration refuses instances beyond this many candidates.
 _BRUTE_FORCE_LIMIT = 100_000
 
-# Tolerance for float capacities sitting exactly on the feasible boundary.
-FLOAT_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class SlotInstance:
@@ -158,29 +155,6 @@ def _fill(capacity: int, backlogs: tuple[int, ...], order: list[int], prefix: li
             break
         mu[k] = backlogs[k]
     return mu
-
-
-def m1_value(capacity: float, inst: SlotInstance) -> float:
-    """Piecewise-linear continuation of the greedy optimum to real capacity."""
-    if capacity < 0 or capacity > inst.total_backlog + FLOAT_SLACK:
-        raise ValueError(f"capacity {capacity} outside [0, {inst.total_backlog}]")
-    _, xs, prefix = _sorted_view(inst)
-    return _m1(min(capacity, float(inst.total_backlog)), xs, prefix)
-
-
-def m2_value(capacity: float, inst: SlotInstance) -> float:
-    """Weighted power cost beta * (2^(eta*C) - 1); convex, zero at zero."""
-    if capacity < 0:
-        raise ValueError("capacity must be non-negative")
-    return inst.beta * (power_for_capacity(capacity, 1.0, inst.eta) if capacity > 0 else 0.0)
-
-
-def objective_value(capacity: float, inst: SlotInstance) -> float:
-    """M(C) = M1(C) - M2(C) on the feasible range [0, min(sum Q, capacity_cap)]."""
-    hi = min(float(inst.total_backlog), inst.capacity_cap)
-    if capacity < 0 or capacity > hi + FLOAT_SLACK:
-        raise ValueError(f"capacity {capacity} outside [0, {hi}]")
-    return m1_value(capacity, inst) - m2_value(capacity, inst)
 
 
 def solve_slot(inst: SlotInstance) -> SlotSolution:

@@ -129,10 +129,17 @@ def run_sweep(spec: SweepSpec, base_config: ScenarioConfig, workers: int = 1) ->
                 cells.append((row, cell_config, policy, seed))
 
     if workers > 1 and len(cells) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_cell, cfg, pol, seed): row for row, cfg, pol, seed in cells}
-            for future, row in futures.items():
-                _store_result(row, future)
+        # The fork start method launches every worker up front, so ask for no
+        # more workers than there are cells.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+            futures = [(pool.submit(_run_cell, *cell[1:]), cell) for cell in cells]
+        broken = [cell for future, cell in futures if not _store_result(cell[0], future)]
+        # A worker that dies breaks the whole pool and fails every cell still
+        # in it; rerun those alone, each in a fresh pool, so only a cell that
+        # crashes again fails.
+        for row, cfg, pol, seed in broken:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=1) as solo:
+                _store_result(row, solo.submit(_run_cell, cfg, pol, seed))
     else:
         for row, cfg, pol, seed in cells:
             try:
@@ -142,11 +149,16 @@ def run_sweep(spec: SweepSpec, base_config: ScenarioConfig, workers: int = 1) ->
     return SweepTable(rows=rows)
 
 
-def _store_result(row: SweepRow, future) -> None:
+def _store_result(row: SweepRow, future) -> bool:
+    """Record a finished cell; False when the pool broke before the cell could finish."""
     try:
         _fill_row(row, future.result())
+    except concurrent.futures.BrokenExecutor as exc:
+        row.error = str(exc)
+        return False
     except Exception as exc:  # noqa: BLE001
         row.error = str(exc)
+    return True
 
 
 def _fill_row(row: SweepRow, result) -> None:

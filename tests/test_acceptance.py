@@ -12,10 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from railsched.channel import distance_profile, noise_equiv, noise_profile
+from railsched.channel import distance_profile, noise_profile
 from railsched.config import default_config, with_updates
 from railsched.engine import audit_decisions, replay_check, run
-from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, objective_value, solve_slot
+from railsched.selftest import noise_equiv, objective_value
+from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, solve_slot
 from railsched.sweep import SweepSpec, run_sweep
 from railsched.traceio import write_trace
 
@@ -168,7 +169,7 @@ def _load_powers(config):
     N_max * (2^(eta*sum(lambda)) - 1).
     """
     geometry, radio = config.geometry, config.radio
-    growth = 2.0 ** (config.eta * sum(config.traffic.arrival_rates)) - 1.0
+    growth = 2.0 ** (config.radio.eta * sum(config.traffic.arrival_rates)) - 1.0
     noise = noise_profile(distance_profile(geometry.period_slots, geometry), radio)
     return float(noise.mean()) * growth, noise_equiv(geometry.max_distance, radio) * growth
 

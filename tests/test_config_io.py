@@ -20,10 +20,10 @@ class TestDefaults:
         assert cfg.geometry.speed == pytest.approx(100.0)  # 360 km/h
         assert cfg.geometry.cell_radius == 1500.0
         assert cfg.geometry.rail_offset == 50.0
-        assert cfg.num_services == 6
+        assert cfg.traffic.num_services == 6
 
     def test_eta_computed(self):
-        assert default_config().eta == pytest.approx(0.048, rel=1e-15)
+        assert default_config().radio.eta == pytest.approx(0.048, rel=1e-15)
 
     def test_empty_file_equals_defaults(self, tmp_path):
         path = tmp_path / "empty.ini"
@@ -63,7 +63,7 @@ class TestLoading:
     def test_eta_consistency_accepted(self, tmp_path):
         path = tmp_path / "eta.ini"
         path.write_text("[radio]\neta = 0.048\n")
-        assert load_config(path).eta == pytest.approx(0.048)
+        assert load_config(path).radio.eta == pytest.approx(0.048)
 
     def test_eta_mismatch_rejected(self, tmp_path):
         path = tmp_path / "eta.ini"
@@ -136,6 +136,15 @@ class TestValidation:
             with_updates(default_config(), avg_power=60.0)
         with pytest.raises(ConfigError, match=r"traffic\.avg_power_w = nan exceeds"):
             with_updates(default_config(), avg_power=float("nan"))
+
+    @pytest.mark.parametrize(
+        "field, value, section",
+        [("arrival_rate", -1.0, "traffic"), ("delay_bound", 0.0, "traffic"), ("avg_power", -1.0, "traffic"), ("max_power", -1.0, "radio")],
+    )
+    def test_bad_field_value(self, field, value, section):
+        # the dataclass checks surface as a ConfigError naming the section, as on load
+        with pytest.raises(ConfigError, match=rf"^{section}: "):
+            with_updates(default_config(), **{field: value})
 
     @pytest.mark.parametrize("max_power", [0.0, float("nan"), float("inf")])
     def test_bad_max_power(self, max_power):

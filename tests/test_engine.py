@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from railsched.config import default_config, load_config, with_updates
-from railsched.engine import PacketDelayTracker, Trace, audit_decisions, replay_check, run, summarize
+from railsched.engine import Trace, audit_decisions, replay_check, run, summarize
 from railsched.policies import POLICY_NAMES
 from railsched.traceio import write_summary, write_trace
 
@@ -83,16 +83,49 @@ class TestRun:
         assert trace.virtual_power[1] == max(trace.virtual_power[0] - 36.0, 0.0) + trace.power[0]
 
     def test_packet_tracker_exact_accounting(self):
-        config = small_config(horizon=900, seed=8)
-        tracker = PacketDelayTracker(6)
-        trace, summary = run(config, packet_tracker=tracker)
-        backlog_area = int(trace.queues.sum())
-        residual = tracker.residual_delay_total(config.horizon - 1)
-        assert backlog_area == tracker.served_delay_total + residual
-        # with that identity, Little's law is the per-packet mean up to the
-        # still-queued remainder
-        admitted = int(sum(summary.empirical_rates) * summary.horizon + 0.5)
-        assert tracker.served_count + sum(len(q) for q in tracker.pending) == admitted
+        # (served delay, residual delay, packets served, packets queued, drops):
+        # every packet of the 900-slot case waits one slot; the pinned dropping
+        # case overflows its 300-packet buffers, so fewer packets are admitted
+        # than arrive
+        cases = [
+            (small_config(horizon=900, seed=8), (107_882, 0, 107_882, 115, 0)),
+            (
+                load_config(None, seed=1, horizon=12_000, avg_power_w=0.5, buffer_cap_pkts=300),
+                (3_565_114, 12_941, 1_424_724, 1_616, 13_610),
+            ),
+        ]
+        for config, expected in cases:
+            trace, summary = run(config)
+            served_delay, residual, served, queued = packet_delays(trace, config.traffic.buffer_cap)
+            assert (served_delay, residual, served, queued, sum(summary.total_drops)) == expected
+            assert int(trace.queues.sum()) == served_delay + residual
+            # with that identity, Little's law is the per-packet mean up to the
+            # still-queued remainder
+            admitted = int(sum(summary.empirical_rates) * summary.horizon + 0.5)
+            assert served + queued == admitted
+
+
+def packet_delays(trace, buffer_cap):
+    """FIFO per-packet waiting recounted from a finished trace alone.
+
+    A packet admitted in slot tau and sent in slot sigma waited sigma - tau
+    slots; one still queued at the end has waited through slot T-1.  Packet n
+    of a service arrives in the first slot whose cumulative admitted count
+    exceeds n and leaves in the first whose cumulative allocation does.
+    Returns (served delay, residual delay, packets served, packets queued).
+    """
+    # Overflow drops as `summarize` computes them: the buffer cap rejects the excess.
+    dropped = np.maximum(trace.queues - trace.allocation + trace.arrivals - buffer_cap, 0)
+    admitted = trace.arrivals - dropped
+    served_delay = residual = served = queued = 0
+    for k in range(trace.num_services):
+        cum_in, cum_out = np.cumsum(admitted[:, k]), np.cumsum(trace.allocation[:, k])
+        arrive = np.searchsorted(cum_in, np.arange(cum_in[-1]), side="right")
+        depart = np.searchsorted(cum_out, np.arange(cum_out[-1]), side="right")
+        served_delay += int((depart - arrive[: len(depart)]).sum())
+        residual += int((len(trace) - 1 - arrive[len(depart) :]).sum())
+        served, queued = served + len(depart), queued + len(arrive) - len(depart)
+    return served_delay, residual, served, queued
 
 
 class TestSummarize:

@@ -7,7 +7,8 @@ from railsched.channel import capacity_cap_profile, distance_profile, noise_prof
 from railsched.config import default_config
 from railsched.policies import POLICY_NAMES, Policy, build_policy, cpa_profile, decide, wfpa_profile
 from railsched.queues import SystemState
-from railsched.solver import SlotInstance, objective_value, solve_slot
+from railsched.selftest import objective_value
+from railsched.solver import SlotInstance, solve_slot
 
 CONFIG = default_config()
 

@@ -6,17 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railsched.channel import link_capacity, power_for_capacity
-from railsched.solver import (
-    SlotInstance,
-    brute_force_slot,
-    greedy_allocation,
-    m1_value,
-    m2_value,
-    objective_value,
-    service_order,
-    solve_slot,
-)
+from railsched.channel import power_for_capacity
+from railsched.selftest import link_capacity, m1_value, m2_value, objective_value
+from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, service_order, solve_slot
 
 ETA = 0.048
 

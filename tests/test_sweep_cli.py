@@ -1,13 +1,16 @@
+import concurrent.futures
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
+from railsched import sweep
 from railsched.cli import main
 from railsched.config import default_config, with_updates
 from railsched.engine import run
-from railsched.sweep import SweepSpec, apply_parameter, emit_plotdata, read_sweep, run_sweep, write_sweep
+from railsched.sweep import SweepSpec, _run_cell, apply_parameter, emit_plotdata, read_sweep, run_sweep, write_sweep
 BASE = with_updates(default_config(), horizon=400, seed=31)
 
 # A compact track (30 m cells) so short test runs still cover whole cell periods.
@@ -19,6 +22,13 @@ rail_offset_m = 5
 horizon = 1500
 seed = 31
 """
+
+
+def _crash_at_omega_half(config, policy, seed):
+    """Sweep cell runner whose worker process dies on the omega = 0.5 cell."""
+    if config.omega == 0.5:
+        os._exit(1)
+    return _run_cell(config, policy, seed)
 
 
 class TestSweep:
@@ -41,15 +51,54 @@ class TestSweep:
         assert seeds == {31, 32}
 
     def test_failed_cell_marked_and_rest_continue(self):
-        # a 30 W cap cannot host the 36 W average-power budget
-        spec = SweepSpec(parameter="pmax", values=(30.0, 50.0), policies=("proposed",), replications=1)
-        table = run_sweep(spec, BASE)
-        assert len(table.rows) == 2
-        failed = [r for r in table.rows if r.status == "failed"]
-        ok = [r for r in table.rows if r.status == "ok"]
-        assert len(failed) == 1 and failed[0].value == 30.0
-        assert "avg_power" in failed[0].error
-        assert len(ok) == 1 and ok[0].value == 50.0
+        # a 30 W cap cannot host the 36 W average-power budget, and a negative
+        # arrival rate is no traffic at all
+        for parameter, bad, good, reason in [("pmax", 30.0, 50.0, "avg_power"), ("lambda", -1.0, 20.0, "traffic: arrival rates")]:
+            spec = SweepSpec(parameter=parameter, values=(bad, good), policies=("proposed",), replications=1)
+            table = run_sweep(spec, BASE)
+            assert len(table.rows) == 2
+            failed = [r for r in table.rows if r.status == "failed"]
+            ok = [r for r in table.rows if r.status == "ok"]
+            assert len(failed) == 1 and failed[0].value == bad
+            assert reason in failed[0].error
+            assert len(ok) == 1 and ok[0].value == good
+
+    def test_crashed_worker_fails_only_its_cell(self, monkeypatch, tmp_path):
+        # workers are forked, so they inherit the patched cell runner
+        monkeypatch.setattr(sweep, "_run_cell", _crash_at_omega_half)
+        spec = SweepSpec(parameter="omega", values=(0.2, 0.4, 0.5, 0.6, 0.8, 1.0), policies=("proposed",), replications=1)
+        table = run_sweep(spec, BASE, workers=2)
+        assert [r.value for r in table.failures] == [0.5]
+        assert "terminated abruptly" in table.failures[0].error
+        for row in table.rows[:2] + table.rows[3:]:
+            assert row.avg_power == _run_cell(apply_parameter(BASE, "omega", row.value), "proposed", BASE.seed)[0]
+        argv = ["sweep", "--horizon", "200", "--param", "omega", "--values", "0.4,0.5", "--workers", "2", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert [r.status for r in read_sweep(tmp_path / "sweep.csv").rows] == ["ok", "failed"]
+
+    def test_pool_capped_at_cell_count(self, monkeypatch):
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        spec = SweepSpec(parameter="omega", values=(0.4, 0.6, 0.8), policies=("proposed",), replications=1)
+        table = run_sweep(spec, BASE, workers=1000)
+        assert asked == [3]
+        assert not table.failures
 
     def test_parallel_equals_serial(self):
         spec = SweepSpec(parameter="lambda", values=(5.0, 20.0), policies=("proposed",), replications=1)
@@ -297,6 +346,13 @@ class TestCli:
         )
         assert code == 3
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_bad_value_exit_code(self, tmp_path):
+        # the -1 cell fails on its arrival rate; the sweep still writes the other
+        assert main(["sweep", "--horizon", "120", "--param", "lambda", "--values=-1,20", "--out", str(tmp_path)]) == 3
+        rows = read_sweep(tmp_path / "sweep.csv").rows
+        assert [(r.value, r.status) for r in rows] == [(-1.0, "failed"), (20.0, "ok")]
+        assert rows[0].error.startswith("traffic: ")
 
     def test_sweep_and_plotdata_pipeline(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
