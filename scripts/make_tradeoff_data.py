@@ -36,17 +36,17 @@ def main() -> int:
                 policies=("proposed", "wfpa-dynamic", "cpa-dynamic"),
                 replications=args.reps,
             ),
-            with_updates(default_config(), horizon=args.horizon, max_power=100.0),
+            with_updates(default_config(), horizon=args.horizon, max_power_w=100.0),
         ),
         (
             "fig5",
             SweepSpec(parameter="omega", values=(0.2, 0.4, 0.6, 0.8, 1.0, 1.2), policies=("proposed",), replications=args.reps),
-            with_updates(default_config(), horizon=args.horizon, arrival_rate=23.0, max_power=100.0),
+            with_updates(default_config(), horizon=args.horizon, arrival_rate_pkts=23.0, max_power_w=100.0),
         ),
         (
             "fig6",
             SweepSpec(parameter="pmax", values=(40.0, 60.0, 80.0, 100.0), policies=("proposed",), replications=args.reps),
-            with_updates(default_config(), horizon=args.horizon, arrival_rate=23.0, omega=0.6),
+            with_updates(default_config(), horizon=args.horizon, arrival_rate_pkts=23.0, omega=0.6),
         ),
     ]
 

@@ -4,15 +4,18 @@ Config files are plain INI (key = value under [geometry], [radio],
 [traffic], [control], [run]); every key is optional and falls back to the
 default simulation setup below.  Noise density is given in dBm/Hz and speed
 in km/h as usually quoted; both are converted to SI once at load and all
-internal arithmetic stays in W, m, s.
+internal arithmetic stays in W, m, s.  Every config is built one way: key
+values, named bare or as `section.key`, go through `_build`, which converts
+each key once, names `section.key` on a bad value, and keeps the typed
+values so `with_updates` can override keys and build again.
 """
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +26,8 @@ from .queues import TrafficParams
 # Default scenario: 5 MHz downlink, 240-bit packets, 1 ms slots, fourth-power
 # pathloss, cells of 1.5 km radius 50 m off the track, six services at
 # 20 pkt/slot with a 15-slot average-delay bound and a 36 W average-power
-# budget under a 50 W instantaneous cap.
+# budget under a 50 W instantaneous cap.  Each key takes the type of its
+# default.
 DEFAULTS = {
     "geometry": {
         "cell_radius_m": 1500.0,
@@ -55,7 +59,9 @@ DEFAULTS = {
     },
 }
 
-_RTOL_ETA = 1e-9
+# Keys with one value per service: a scalar applies to every service; a
+# comma string or a sequence must have num_services entries.
+_PER_SERVICE = ("arrival_rate_pkts", "delay_bound_slots")
 
 
 class ConfigError(Exception):
@@ -64,7 +70,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved simulation scenario."""
+    """Fully resolved simulation scenario; `values` holds the typed key values it was built from."""
 
     geometry: Geometry
     radio: RadioParams
@@ -73,143 +79,100 @@ class ScenarioConfig:
     horizon: int
     seed: int
     policy: str
+    values: dict = field(compare=False, repr=False)
 
 
-def _parse_rates(raw, count: int, field: str) -> tuple[float, ...]:
-    # A scalar applies to every service; a comma list must match num_services.
-    if isinstance(raw, str) and "," in raw:
-        values = tuple(float(v) for v in raw.split(","))
-        if len(values) != count:
-            raise ConfigError(f"traffic.{field}: expected {count} comma-separated values, got {len(values)}")
-        return values
-    return (float(raw),) * count
+def _convert(section: str, key: str, raw):
+    """One key's value as the type of its default; whole numbers only for an integer key."""
+    kind = type(DEFAULTS[section][key])
+    try:
+        if kind is str:
+            return str(raw).strip()
+        if key in _PER_SERVICE and not isinstance(raw, numbers.Real):
+            if isinstance(raw, str) and "," not in raw:
+                return float(raw)
+            return tuple(float(v) for v in (raw.split(",") if isinstance(raw, str) else raw))
+        value = kind(raw)
+        if kind is int and not isinstance(raw, str) and value != raw:
+            raise ValueError  # int(2.5) would truncate
+        return value
+    except (TypeError, ValueError, OverflowError):
+        expected = "a whole number" if kind is int else "a number"
+        raise ConfigError(f"{section}.{key}: expected {expected}, got {raw!r}") from None
 
 
-def _build(values: dict) -> ScenarioConfig:
-    geo = values["geometry"]
-    rad = values["radio"]
-    tra = values["traffic"]
-    ctl = values["control"]
-    run = values["run"]
+def _build(raw_values: dict) -> ScenarioConfig:
+    values = {section: {key: _convert(section, key, raw) for key, raw in keys.items()} for section, keys in raw_values.items()}
+    geo, rad, tra = values["geometry"], values["radio"], values["traffic"]
 
     try:
         geometry = Geometry(
-            cell_radius=float(geo["cell_radius_m"]),
-            rail_offset=float(geo["rail_offset_m"]),
-            speed=float(geo["speed_kmh"]) / 3.6,
-            slot_duration=float(geo["slot_duration_s"]),
+            cell_radius=geo["cell_radius_m"],
+            rail_offset=geo["rail_offset_m"],
+            speed=geo["speed_kmh"] / 3.6,
+            slot_duration=geo["slot_duration_s"],
         )
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}") from None
 
-    bandwidth = float(rad["bandwidth_hz"])
-    slot = geometry.slot_duration
-    packet_bits = float(rad["packet_bits"])
+    bandwidth, packet_bits, pathloss = rad["bandwidth_hz"], rad["packet_bits"], rad["pathloss_exp"]
     if bandwidth <= 0:
         raise ConfigError("radio.bandwidth_hz must be positive")
     if packet_bits <= 0:
         raise ConfigError("radio.packet_bits must be positive")
-    eta = packet_bits / (slot * bandwidth)
-    if "eta" in rad and rad["eta"] is not None:
-        eta_given = float(rad["eta"])
-        if not math.isclose(eta_given, eta, rel_tol=_RTOL_ETA):
-            raise ConfigError(f"radio.eta given as {eta_given} but packet_bits/(slot*bandwidth) = {eta}")
-
-    pathloss = float(rad["pathloss_exp"])
     if pathloss < 2.0:
         raise ConfigError(f"radio.pathloss_exp must be >= 2, got {pathloss}")
-    max_power = float(rad["max_power_w"])
-
     try:
         radio = RadioParams(
             bandwidth=bandwidth,
-            noise_psd=10.0 ** (float(rad["noise_psd_dbm_hz"]) / 10.0) / 1000.0,
+            noise_psd=10.0 ** (rad["noise_psd_dbm_hz"] / 10.0) / 1000.0,
             pathloss_exp=pathloss,
             packet_bits=packet_bits,
-            eta=eta,
-            max_power=max_power,
+            eta=packet_bits / (geometry.slot_duration * bandwidth),
+            max_power=rad["max_power_w"],
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"radio: {exc}") from None
 
-    num_services = int(tra["num_services"])
+    num_services = tra["num_services"]
     if num_services < 1:
         raise ConfigError("traffic.num_services must be >= 1")
+    per_service = {}
+    for key in _PER_SERVICE:
+        value = tra[key]
+        if isinstance(value, float):
+            value = (value,) * num_services
+        elif len(value) != num_services:
+            raise ConfigError(f"traffic.{key}: expected {num_services} values, one per service, got {len(value)}")
+        per_service[key] = value
     try:
         traffic = TrafficParams(
-            arrival_rates=_parse_rates(tra["arrival_rate_pkts"], num_services, "arrival_rate_pkts"),
-            delay_bounds=_parse_rates(tra["delay_bound_slots"], num_services, "delay_bound_slots"),
-            avg_power=float(tra["avg_power_w"]),
-            buffer_cap=int(tra["buffer_cap_pkts"]),
+            arrival_rates=per_service["arrival_rate_pkts"],
+            delay_bounds=per_service["delay_bound_slots"],
+            avg_power=tra["avg_power_w"],
+            buffer_cap=tra["buffer_cap_pkts"],
         )
     except ValueError as exc:
         raise ConfigError(f"traffic: {exc}") from None
 
-    return _validated(
-        ScenarioConfig(
-            geometry=geometry,
-            radio=radio,
-            traffic=traffic,
-            omega=float(ctl["omega"]),
-            horizon=int(run["horizon"]),
-            seed=int(run["seed"]),
-            policy=str(run["policy"]).strip(),
-        )
-    )
-
-
-def _validated(config: ScenarioConfig) -> ScenarioConfig:
-    """The checks that span fields or that the field types do not make; shared by loading and `with_updates`."""
+    # The checks that span fields or that the field types do not make.
     # Chained comparisons are False for NaN, so each check rejects it too.
-    max_power, avg_power = config.radio.max_power, config.traffic.avg_power
+    max_power, avg_power = radio.max_power, traffic.avg_power
+    run = values["run"]
+    omega, horizon, seed, policy = values["control"]["omega"], run["horizon"], run["seed"], run["policy"]
     if not 0.0 < max_power < math.inf:
         raise ConfigError(f"radio.max_power_w must be finite and positive, got {max_power}")
     if not avg_power <= max_power:
         raise ConfigError(f"traffic.avg_power_w = {avg_power} exceeds radio.max_power_w = {max_power}")
-    if not 0.0 <= config.omega < math.inf:
-        raise ConfigError(f"control.omega must be finite and non-negative, got {config.omega}")
-    if not config.horizon >= 1:
-        raise ConfigError(f"run.horizon must be >= 1, got {config.horizon}")
-    if config.policy not in POLICY_NAMES:
-        raise ConfigError(f"run.policy {config.policy!r} not one of {sorted(POLICY_NAMES)}")
-    return config
-
-
-def default_config() -> ScenarioConfig:
-    """The fully default scenario."""
-    return _build({section: dict(keys) for section, keys in DEFAULTS.items()})
-
-
-def load_config(path: Optional[str | Path] = None, **overrides) -> ScenarioConfig:
-    """Load a scenario file, falling back to defaults for anything omitted.
-
-    Keyword overrides use flat `section.key` or bare key names (bare names
-    must be unambiguous) and are applied after the file, e.g.
-    ``load_config(path, seed=7, omega=0.4)``.
-    """
-    values: dict = {section: dict(keys) for section, keys in DEFAULTS.items()}
-
-    if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                parser.read_file(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config file {path}: {exc}") from None
-        for section in parser.sections():
-            if section not in values:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
-                if key not in values[section] and not (section == "radio" and key == "eta"):
-                    raise ConfigError(f"unknown config key {section}.{key}")
-                values[section][key] = raw
-
-    for name, value in overrides.items():
-        _apply_override(values, name, value)
-
-    return _build(values)
+    if not 0.0 <= omega < math.inf:
+        raise ConfigError(f"control.omega must be finite and non-negative, got {omega}")
+    if horizon < 1:
+        raise ConfigError(f"run.horizon must be >= 1, got {horizon}")
+    if seed < 0:
+        raise ConfigError(f"run.seed must be >= 0, got {seed}")
+    if policy not in POLICY_NAMES:
+        raise ConfigError(f"run.policy {policy!r} not one of {sorted(POLICY_NAMES)}")
+    return ScenarioConfig(geometry, radio, traffic, omega, horizon, seed, policy, values)
 
 
 def _apply_override(values: dict, name: str, value) -> None:
@@ -228,39 +191,43 @@ def _apply_override(values: dict, name: str, value) -> None:
     values[section][key] = value
 
 
-def with_updates(config: ScenarioConfig, **kwargs) -> ScenarioConfig:
-    """Copy a config with leaf fields replaced.
+def _overridden(values: dict, overrides: dict) -> ScenarioConfig:
+    values = {section: dict(keys) for section, keys in values.items()}
+    for name, value in overrides.items():
+        _apply_override(values, name, value)
+    return _build(values)
 
-    Accepts the dataclass field names used internally: top-level fields of
-    ScenarioConfig plus `arrival_rate` / `delay_bound` (scalar, fanned out to
-    all services) and `max_power`.
+
+def default_config() -> ScenarioConfig:
+    """The fully default scenario."""
+    return _overridden(DEFAULTS, {})
+
+
+def load_config(path: Optional[str | Path] = None, **overrides) -> ScenarioConfig:
+    """Load a scenario file, falling back to defaults for anything omitted.
+
+    Keyword overrides use flat `section.key` or bare key names (bare names
+    must be unambiguous) and are applied after the file, e.g.
+    ``load_config(path, seed=7, omega=0.4)``.
     """
-    radio_fields: dict = {}
-    traffic_fields: dict = {}
-    top: dict = {}
-    num_services = config.traffic.num_services
-    for name, value in kwargs.items():
-        if name == "max_power":
-            radio_fields["max_power"] = float(value)
-        elif name == "arrival_rate":
-            traffic_fields["arrival_rates"] = (float(value),) * num_services
-        elif name == "arrival_rates":
-            traffic_fields["arrival_rates"] = tuple(float(v) for v in value)
-        elif name == "delay_bound":
-            traffic_fields["delay_bounds"] = (float(value),) * num_services
-        elif name == "avg_power":
-            traffic_fields["avg_power"] = float(value)
-        elif name in ("omega", "horizon", "seed", "policy"):
-            top[name] = value
-        else:
-            raise ConfigError(f"with_updates does not know field {name!r}")
-    # A bad field value is a ConfigError naming its section, as in `_build`.
+    if path is None:
+        return _overridden(DEFAULTS, overrides)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        radio = dataclasses.replace(config.radio, **radio_fields)
-    except ValueError as exc:
-        raise ConfigError(f"radio: {exc}") from None
-    try:
-        traffic = dataclasses.replace(config.traffic, **traffic_fields)
-    except ValueError as exc:
-        raise ConfigError(f"traffic: {exc}") from None
-    return _validated(dataclasses.replace(config, radio=radio, traffic=traffic, **top))
+        with open(path, "r", encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
+    from_file = {}
+    for section in parser.sections():
+        if section not in DEFAULTS:
+            raise ConfigError(f"unknown config section [{section}]")
+        from_file.update({f"{section}.{key}": raw for key, raw in parser.items(section)})
+    return _overridden(DEFAULTS, {**from_file, **overrides})
+
+
+def with_updates(config: ScenarioConfig, **overrides) -> ScenarioConfig:
+    """Copy a config with keys replaced; keys are named as in `load_config`, bare or `section.key`."""
+    return _overridden(config.values, overrides)

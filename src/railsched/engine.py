@@ -208,21 +208,13 @@ def replay_check(trace: Trace, config: ScenarioConfig) -> None:
     traffic = config.traffic
     lam_w = np.array([r * w for r, w in zip(traffic.arrival_rates, traffic.delay_bounds)])
     q_next = np.minimum(trace.queues[:-1] - trace.allocation[:-1] + trace.arrivals[:-1], traffic.buffer_cap)
-    if not np.array_equal(q_next, trace.queues[1:]):
-        bad = int(np.argwhere(np.any(q_next != trace.queues[1:], axis=1))[0][0])
-        raise AssertionError(f"real-queue replay mismatch at slot {bad}")
+    _require(np.any(q_next != trace.queues[1:], axis=1), "real-queue replay mismatch")
     x_next = np.maximum(trace.virtual_delay[:-1] - lam_w, 0.0) + q_next
-    if not np.array_equal(x_next, trace.virtual_delay[1:]):
-        bad = int(np.argwhere(np.any(x_next != trace.virtual_delay[1:], axis=1))[0][0])
-        raise AssertionError(f"delay virtual-queue replay mismatch at slot {bad}")
+    _require(np.any(x_next != trace.virtual_delay[1:], axis=1), "delay virtual-queue replay mismatch")
     y_next = np.maximum(trace.virtual_power[:-1] - traffic.avg_power, 0.0) + trace.power[:-1]
-    if not np.array_equal(y_next, trace.virtual_power[1:]):
-        bad = int(np.argwhere(y_next != trace.virtual_power[1:])[0][0])
-        raise AssertionError(f"power virtual-queue replay mismatch at slot {bad}")
+    _require(y_next != trace.virtual_power[1:], "power virtual-queue replay mismatch")
     drops = np.maximum(trace.queues[:-1] - trace.allocation[:-1] + trace.arrivals[:-1] - traffic.buffer_cap, 0).sum(axis=1)
-    if not np.array_equal(drops, trace.drops[:-1]):
-        bad = int(np.argwhere(drops != trace.drops[:-1])[0][0])
-        raise AssertionError(f"drop-count replay mismatch at slot {bad}")
+    _require(drops != trace.drops[:-1], "drop-count replay mismatch")
 
 
 def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:

@@ -95,9 +95,9 @@ def apply_parameter(config: ScenarioConfig, parameter: str, value: float) -> Sce
     if parameter == "omega":
         return with_updates(config, omega=float(value))
     if parameter == "lambda":
-        return with_updates(config, arrival_rate=float(value))
+        return with_updates(config, arrival_rate_pkts=float(value))
     if parameter == "pmax":
-        return with_updates(config, max_power=float(value))
+        return with_updates(config, max_power_w=float(value))
     raise ValueError(f"unknown sweep parameter {parameter!r}")
 
 

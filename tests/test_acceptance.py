@@ -184,9 +184,9 @@ def policy_comparison_table():
     carry the load.  Between them both profile caps bind near the cell
     edge, which is the regime the comparison is about.
     """
-    config = with_updates(default_config(), horizon=HORIZON, arrival_rate=25.0, max_power=100.0)
+    config = with_updates(default_config(), horizon=HORIZON, arrival_rate_pkts=25.0, max_power_w=100.0)
     tracking, edge = _load_powers(config)
-    config = with_updates(config, avg_power=0.5 * (tracking + edge))
+    config = with_updates(config, avg_power_w=0.5 * (tracking + edge))
     assert tracking < config.traffic.avg_power < edge, (tracking, config.traffic.avg_power, edge)
     spec = SweepSpec(
         parameter="lambda",
@@ -203,7 +203,7 @@ def policy_comparison_table():
 
 @pytest.fixture(scope="module")
 def omega_sweep_table():
-    config = with_updates(default_config(), horizon=HORIZON, arrival_rate=23.0, max_power=100.0)
+    config = with_updates(default_config(), horizon=HORIZON, arrival_rate_pkts=23.0, max_power_w=100.0)
     spec = SweepSpec(parameter="omega", values=(0.2, 0.4, 0.6, 0.8, 1.0, 1.2), policies=("proposed",))
     table = run_sweep(spec, config, workers=2)
     assert not table.failures, [r.error for r in table.failures]
@@ -212,7 +212,7 @@ def omega_sweep_table():
 
 @pytest.fixture(scope="module")
 def pmax_sweep_table():
-    config = with_updates(default_config(), horizon=HORIZON, arrival_rate=23.0, omega=0.6)
+    config = with_updates(default_config(), horizon=HORIZON, arrival_rate_pkts=23.0, omega=0.6)
     spec = SweepSpec(parameter="pmax", values=(40.0, 60.0, 80.0, 100.0), policies=("proposed",))
     table = run_sweep(spec, config, workers=2)
     assert not table.failures, [r.error for r in table.failures]

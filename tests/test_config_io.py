@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from railsched.config import ConfigError, default_config, load_config, with_updates
+from railsched.cli import main
+from railsched.config import DEFAULTS, ConfigError, default_config, load_config, with_updates
 from railsched.engine import replay_check, run
 from railsched.traceio import _fmt, read_summary, read_trace, trace_columns, write_summary, write_trace
 
@@ -54,22 +55,37 @@ class TestLoading:
         assert cfg.traffic.arrival_rates == (5.0, 10.0, 15.0)
         assert cfg.traffic.delay_bounds == (15.0, 15.0, 15.0)
 
+    def test_with_updates_takes_load_config_names(self):
+        assert with_updates(default_config(), **{"traffic.avg_power_w": 1.0}, omega="0.5") == load_config(avg_power_w=1.0, omega=0.5)
+        with pytest.raises(ConfigError, match="unknown config key avg_power"):
+            with_updates(default_config(), avg_power=1.0)
+
+    def test_with_updates_rates(self):
+        cfg = with_updates(default_config(), num_services=3, arrival_rate_pkts=[5, 10, 15])
+        assert cfg.traffic.arrival_rates == (5.0, 10.0, 15.0)
+        assert cfg.traffic.delay_bounds == (15.0, 15.0, 15.0)
+        assert with_updates(cfg, horizon=300.0).horizon == 300
+        with pytest.raises(ConfigError, match="arrival_rate_pkts: expected 2 values"):
+            with_updates(cfg, num_services=2)
+
     def test_rate_vector_wrong_length(self, tmp_path):
         path = tmp_path / "rates.ini"
         path.write_text("[traffic]\nnum_services = 3\narrival_rate_pkts = 5, 10\n")
         with pytest.raises(ConfigError, match="arrival_rate_pkts"):
             load_config(path)
 
-    def test_eta_consistency_accepted(self, tmp_path):
+    def test_eta_rejected(self, tmp_path):
+        # eta is always packet_bits/(slot*bandwidth), so it is not a key
         path = tmp_path / "eta.ini"
         path.write_text("[radio]\neta = 0.048\n")
-        assert load_config(path).radio.eta == pytest.approx(0.048)
-
-    def test_eta_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "eta.ini"
-        path.write_text("[radio]\neta = 0.05\n")
-        with pytest.raises(ConfigError, match="eta"):
+        with pytest.raises(ConfigError, match=r"unknown config key radio\.eta"):
             load_config(path)
+        with pytest.raises(ConfigError, match=r"unknown config key radio\.eta"):
+            load_config(**{"radio.eta": 0.048})
+        with pytest.raises(ConfigError, match="unknown config key eta"):
+            load_config(eta=0.048)
+        with pytest.raises(ConfigError, match="unknown config key eta"):
+            with_updates(default_config(), eta=0.048)
 
     def test_avg_power_above_cap_rejected(self, tmp_path):
         path = tmp_path / "power.ini"
@@ -110,7 +126,7 @@ class TestLoading:
 
 
 class TestValidation:
-    """File loading and `with_updates` share one validator; each error names its field."""
+    """File loading and `with_updates` build through one path; each error names its key."""
 
     @pytest.mark.parametrize("omega", [-1.0, float("nan"), float("inf")])
     def test_bad_omega(self, omega):
@@ -133,13 +149,19 @@ class TestValidation:
 
     def test_avg_power_above_cap(self):
         with pytest.raises(ConfigError, match=r"traffic\.avg_power_w = 60.0 exceeds radio\.max_power_w = 50.0"):
-            with_updates(default_config(), avg_power=60.0)
+            with_updates(default_config(), avg_power_w=60.0)
         with pytest.raises(ConfigError, match=r"traffic\.avg_power_w = nan exceeds"):
-            with_updates(default_config(), avg_power=float("nan"))
+            with_updates(default_config(), avg_power_w=float("nan"))
 
+    # the ids keep the quantity names these cases have always been reported under
     @pytest.mark.parametrize(
         "field, value, section",
-        [("arrival_rate", -1.0, "traffic"), ("delay_bound", 0.0, "traffic"), ("avg_power", -1.0, "traffic"), ("max_power", -1.0, "radio")],
+        [
+            pytest.param("arrival_rate_pkts", -1.0, "traffic", id="arrival_rate--1.0-traffic"),
+            pytest.param("delay_bound_slots", 0.0, "traffic", id="delay_bound-0.0-traffic"),
+            pytest.param("avg_power_w", -1.0, "traffic", id="avg_power--1.0-traffic"),
+            pytest.param("max_power_w", -1.0, "radio", id="max_power--1.0-radio"),
+        ],
     )
     def test_bad_field_value(self, field, value, section):
         # the dataclass checks surface as a ConfigError naming the section, as on load
@@ -149,7 +171,7 @@ class TestValidation:
     @pytest.mark.parametrize("max_power", [0.0, float("nan"), float("inf")])
     def test_bad_max_power(self, max_power):
         with pytest.raises(ConfigError, match=r"radio\.max_power_w must be finite and positive"):
-            with_updates(default_config(), max_power=max_power)
+            with_updates(default_config(), max_power_w=max_power)
         with pytest.raises(ConfigError, match=r"radio\.max_power_w must be finite and positive"):
             load_config(max_power_w=str(max_power))
 
@@ -176,6 +198,40 @@ class TestValidation:
         section = key.split(".")[0]
         with pytest.raises(ConfigError, match=rf"^{section}[.:]"):
             load_config(**{key: value})
+
+    @pytest.mark.parametrize("key", [f"{section}.{key}" for section, keys in DEFAULTS.items() for key in keys])
+    def test_malformed_value_names_key(self, tmp_path, key):
+        # "abc" is not a number, and not a policy name either
+        section, bare = key.split(".")
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{bare} = abc\n")
+        pattern = rf"^{re.escape(key)}[: ]"
+        with pytest.raises(ConfigError, match=pattern):
+            load_config(path)
+        with pytest.raises(ConfigError, match=pattern):
+            load_config(**{key: "abc"})
+        with pytest.raises(ConfigError, match=pattern):
+            with_updates(default_config(), **{bare: "abc"})
+
+    @pytest.mark.parametrize("value", [2.5, "2.5"], ids=["float", "str"])
+    @pytest.mark.parametrize("key", ["traffic.num_services", "traffic.buffer_cap_pkts", "run.horizon", "run.seed"])
+    def test_integer_key_takes_whole_numbers(self, key, value):
+        pattern = rf"^{re.escape(key)}: expected a whole number"
+        with pytest.raises(ConfigError, match=pattern):
+            load_config(**{key: value})
+        with pytest.raises(ConfigError, match=pattern):
+            with_updates(default_config(), **{key: value})
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match=r"run\.seed must be >= 0"):
+            with_updates(default_config(), seed=-1)
+
+
+def test_cli_bad_ini_value_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text("[run]\nhorizon = abc\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "run.horizon" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,7 @@ def small_config(**kwargs):
 
 class TestRun:
     def test_no_traffic_no_power_under_proposed(self):
-        config = small_config(arrival_rate=0.0)
+        config = small_config(arrival_rate_pkts=0.0)
         trace, summary = run(config, policy="proposed")
         assert summary.avg_power == 0.0
         assert np.all(trace.queues == 0)
@@ -183,11 +183,7 @@ class TestSummarize:
 
 
 def default_config_k(k):
-    import dataclasses
-
-    cfg = default_config()
-    traffic = dataclasses.replace(cfg.traffic, arrival_rates=(20.0,) * k, delay_bounds=(15.0,) * k)
-    return dataclasses.replace(cfg, traffic=traffic)
+    return with_updates(default_config(), num_services=k)
 
 
 def test_replay_detects_tampering():
@@ -195,6 +191,25 @@ def test_replay_detects_tampering():
     trace, _ = run(config)
     trace.queues[30, 2] += 1
     with pytest.raises(AssertionError):
+        replay_check(trace, config)
+
+
+@pytest.mark.parametrize(
+    "column, index, slot, check",
+    [
+        ("queues", (30, 2), 29, "real-queue"),
+        ("virtual_delay", (30, 2), 29, "delay virtual-queue"),
+        ("virtual_power", 30, 29, "power virtual-queue"),
+        ("drops", 30, 30, "drop-count"),
+    ],
+)
+def test_replay_names_tampered_slot(column, index, slot, check):
+    # Q, X and Y are slot-start rows, so a bad row 30 is slot 29's successor;
+    # the drop count is slot 30's own
+    config = small_config(horizon=60)
+    trace, _ = run(config)
+    getattr(trace, column)[index] += 1
+    with pytest.raises(AssertionError, match=f"^slot {slot}: {check} replay mismatch$"):
         replay_check(trace, config)
 
 
@@ -216,7 +231,7 @@ def test_audit_detects_tampered_decision(policy, column):
 
 def test_audit_checks_the_named_policy():
     # at 0.5 W the dynamic caps bind, so a proposed trace is not a cpa-dynamic one
-    config = small_config(horizon=12_000, seed=1, avg_power=0.5)
+    config = small_config(horizon=12_000, seed=1, avg_power_w=0.5)
     trace, _ = run(config, policy="proposed")
     with pytest.raises(AssertionError, match="slot"):
         audit_decisions(trace, config, "cpa-dynamic")
