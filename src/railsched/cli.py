@@ -1,7 +1,7 @@
 """Command-line interface: run, sweep, plotdata, selftest.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime or invariant
-failure, 3 sweep finished with some failed cells.
+Exit codes: 0 success, 1 configuration or command-line error, 2 runtime
+or invariant failure, 3 sweep finished with some failed cells.
 """
 
 from __future__ import annotations
@@ -24,6 +24,25 @@ EXIT_RUNTIME = 2
 EXIT_PARTIAL = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A malformed command line is a configuration error (exit 1), not argparse's exit 2."""
+        raise ConfigError(message)
+
+
+def _values(raw: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in raw.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {raw!r}") from None
+
+
+def _reps(raw: str) -> int:
+    if not raw.isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {raw!r}")
+    return int(raw)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="scenario file (INI); defaults built in")
     parser.add_argument("--policy", default=None, help="proposed | cpa-static | wfpa-static | cpa-dynamic | wfpa-dynamic")
@@ -33,14 +52,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load(args) -> "ScenarioConfig":
-    overrides = {}
-    if args.policy is not None:
-        overrides["policy"] = args.policy
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    return load_config(args.config, **overrides)
+    keys = ("policy", "seed", "horizon")
+    return load_config(args.config, **{key: getattr(args, key) for key in keys if getattr(args, key) is not None})
 
 
 def _cmd_run(args) -> int:
@@ -63,7 +76,7 @@ def _cmd_sweep(args) -> int:
     config = _load(args)
     spec = SweepSpec(
         parameter=args.param,
-        values=tuple(float(v) for v in args.values.split(",")),
+        values=args.values,
         policies=tuple(p.strip() for p in args.policies.split(",")),
         replications=args.reps,
     )
@@ -95,7 +108,7 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="railsched", description=__doc__)
+    parser = _Parser(prog="railsched", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate one scenario, write trace and summary")
@@ -106,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep, write a tidy table")
     _add_common(p_sweep)
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)
-    p_sweep.add_argument("--values", required=True, help="comma-separated parameter values")
+    p_sweep.add_argument("--values", required=True, type=_values, help="comma-separated parameter values")
     p_sweep.add_argument("--policies", default="proposed", help="comma-separated policy names")
-    p_sweep.add_argument("--reps", type=int, default=1, help="replications; seed ladder starts at the config seed")
+    p_sweep.add_argument("--reps", type=_reps, default=1, help="replications; seed ladder starts at the config seed")
     p_sweep.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -127,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

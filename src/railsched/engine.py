@@ -70,16 +70,15 @@ class SimSummary:
 def run(
     config: ScenarioConfig,
     policy: Optional[str] = None,
-    seed: Optional[int] = None,
     record_trace: bool = True,
 ) -> tuple[Optional[Trace], SimSummary]:
-    """Simulate the whole horizon; deterministic for fixed (config, policy, seed).
+    """Simulate the whole horizon; deterministic for a fixed config and policy.
 
     `policy` names one of the five policies; None runs `config.policy`.
+    The arrivals are drawn from `config.seed`.
     """
     if config.horizon < 1:
         raise ValueError("horizon must be >= 1")
-    seed = config.seed if seed is None else int(seed)
     horizon = config.horizon
     geom, radio, traffic = config.geometry, config.radio, config.traffic
     num_services = traffic.num_services
@@ -89,7 +88,7 @@ def run(
     policy = build_policy(config.policy if policy is None else policy, traffic.avg_power, radio.max_power, noises)
     caps = capacity_cap_profile(noises, policy.power_cap, radio.eta)
 
-    arrivals_all = ArrivalProcess(traffic.arrival_rates, seed).sample_horizon(horizon)
+    arrivals_all = ArrivalProcess(traffic.arrival_rates, config.seed).sample_horizon(horizon)
 
     trace = None
     if record_trace:
@@ -176,27 +175,22 @@ def _summary_from_totals(power_sum, backlog_sum, admitted_sum, drop_sum, horizon
     )
 
 
-def summarize(trace: Trace, config: ScenarioConfig, skip: int = 0) -> SimSummary:
-    """Recompute the run summary from a trace, optionally dropping warm-up slots."""
+def summarize(trace: Trace, config: ScenarioConfig) -> SimSummary:
+    """Recompute the run summary from a trace."""
     if len(trace) == 0:
         raise ValueError("cannot summarize an empty trace")
-    if not 0 <= skip < len(trace):
-        raise ValueError(f"skip {skip} outside [0, {len(trace)})")
     traffic = config.traffic
-    queues = trace.queues[skip:]
-    arrivals = trace.arrivals[skip:]
-    allocation = trace.allocation[skip:]
-    horizon = len(trace) - skip
+    queues, arrivals = trace.queues, trace.arrivals
 
     # Per-service drops are a pure function of the row: overflow beyond the cap.
-    dropped = np.maximum(queues - allocation + arrivals - traffic.buffer_cap, 0)
+    dropped = np.maximum(queues - trace.allocation + arrivals - traffic.buffer_cap, 0)
 
     # Sequential accumulation, matching the in-run streaming sums bit for bit.
-    power_sum = sum(trace.power[skip:].tolist(), 0.0)
+    power_sum = sum(trace.power.tolist(), 0.0)
     backlog_sum = [int(queues[:, k].sum()) for k in range(trace.num_services)]
     admitted_sum = [int((arrivals[:, k] - dropped[:, k]).sum()) for k in range(trace.num_services)]
     drop_sum = [int(dropped[:, k].sum()) for k in range(trace.num_services)]
-    return _summary_from_totals(power_sum, backlog_sum, admitted_sum, drop_sum, horizon, traffic)
+    return _summary_from_totals(power_sum, backlog_sum, admitted_sum, drop_sum, len(trace), traffic)
 
 
 def replay_check(trace: Trace, config: ScenarioConfig) -> None:

@@ -3,15 +3,17 @@
 Every policy is a power cap for each slot plus one flag.  The proposed
 policy's cap is the instantaneous power cap; the CPA and WFPA baselines
 precompute theirs, constant power at the average-power budget or
-water-filling against the known noise trajectory.  A static policy
-transmits at its cap every slot and only picks which packets ride the
-resulting capacity; the others solve the drift problem under the cap.  All
-five split packets among services with the same descending-X greedy rule,
-so the policies differ only in power control.
+water-filling against the known noise trajectory, its water level in
+closed form.  A static policy transmits at its cap every slot and only
+picks which packets ride the resulting capacity; the others solve the
+drift problem under the cap.  All five split packets among services with
+the same descending-X greedy rule, so the policies differ only in power
+control.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +50,11 @@ def cpa_profile(avg_power: float, num_slots: int) -> np.ndarray:
 def wfpa_profile(noise_trajectory: np.ndarray, avg_power: float) -> np.ndarray:
     """Water-filling power over the whole trip: P(t) = max(level - N(t), 0).
 
-    The level is found by bisection on [min N, max N + budget] until the
-    profile's time average matches `avg_power`; this maximizes total
-    throughput sum_t log2(1 + P(t)/N(t)) under the average-power budget.
+    The level is where the profile's float time average first reaches
+    `avg_power` on [min N, max N + budget], to the last double: the closed
+    form gives it to within a few ulps and unit steps settle it.  This
+    maximizes total throughput sum_t log2(1 + P(t)/N(t)) under the
+    average-power budget.
     """
     if avg_power <= 0:
         raise ValueError("avg_power must be positive")
@@ -61,17 +65,29 @@ def wfpa_profile(noise_trajectory: np.ndarray, avg_power: float) -> np.ndarray:
         raise ValueError("noise trajectory must be positive")
     lo = float(noise.min())
     hi = float(noise.max()) + avg_power
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(mid - noise, 0.0).mean() < avg_power:
-            lo = mid
-        else:
-            hi = mid
-    level = 0.5 * (lo + hi)
-    profile = np.maximum(level - noise, 0.0)
+
+    def average(level: float) -> float:
+        return np.maximum(level - noise, 0.0).mean()
+
+    # The closed form over the sorted noise, then one Newton step on the float
+    # average, whose slope there is active / T.
+    ordered = np.sort(noise)
+    levels = (noise.size * avg_power + np.cumsum(ordered)) / np.arange(1, noise.size + 1)
+    active = max(int(np.count_nonzero(levels > ordered)), 1)
+    level = levels[active - 1] + (avg_power - average(levels[active - 1])) * noise.size / active
+    # Settle on the largest double below hi whose average is under budget, and
+    # the next: a bisection on that test, monotone in the level, ends there.
+    top = math.nextafter(hi, lo)
+    level = min(max(float(level), lo), top)
+    while level < top and average(math.nextafter(level, hi)) < avg_power:
+        level = math.nextafter(level, hi)
+    while level > lo and not average(level) < avg_power:
+        level = math.nextafter(level, lo)
+    lo, hi = level, math.nextafter(level, hi)
+    profile = np.maximum(0.5 * (lo + hi) - noise, 0.0)
     rel_err = abs(profile.mean() - avg_power) / avg_power
     if rel_err > _WFPA_BUDGET_RTOL:
-        raise RuntimeError(f"water-filling bisection left budget error {rel_err:.3e}")
+        raise RuntimeError(f"water-filling left budget error {rel_err:.3e}")
     return profile
 
 

@@ -17,10 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, with_updates
-from .engine import Trace, run
+from .engine import SimSummary, Trace, run
 from .traceio import _finite, _flag, _fmt, _parse
 
-SWEEP_PARAMETERS = ("omega", "lambda", "pmax")
+# Each sweep parameter and the config key it sets.
+SWEEP_PARAMETERS = {"omega": "omega", "lambda": "arrival_rate_pkts", "pmax": "max_power_w"}
 
 FIGURES = ("fig3", "fig4", "fig5", "fig6")
 
@@ -34,7 +35,7 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.parameter not in SWEEP_PARAMETERS:
-            raise ValueError(f"parameter must be one of {SWEEP_PARAMETERS}")
+            raise ValueError(f"parameter must be one of {tuple(SWEEP_PARAMETERS)}")
         if not self.values:
             raise ValueError("values must be nonempty")
         if not self.policies:
@@ -90,31 +91,20 @@ class SweepTable:
         return out
 
 
-def apply_parameter(config: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
-    """Install one sweep value into a base config."""
-    if parameter == "omega":
-        return with_updates(config, omega=float(value))
-    if parameter == "lambda":
-        return with_updates(config, arrival_rate_pkts=float(value))
-    if parameter == "pmax":
-        return with_updates(config, max_power_w=float(value))
-    raise ValueError(f"unknown sweep parameter {parameter!r}")
-
-
-def _run_cell(config: ScenarioConfig, policy: str, seed: int) -> tuple[float, float, tuple[float, ...], bool, bool]:
-    _, summary = run(config, policy=policy, seed=seed, record_trace=False)
-    mean_delay = float(np.mean(summary.avg_delay))
-    return summary.avg_power, mean_delay, summary.avg_delay, all(summary.delay_ok), summary.power_ok
+def _run_cell(config: ScenarioConfig) -> SimSummary:
+    return run(config, record_trace=False)[1]
 
 
 def run_sweep(spec: SweepSpec, base_config: ScenarioConfig, workers: int = 1) -> SweepTable:
     """Run every sweep cell; failed cells are marked and do not stop the rest.
 
-    Each replication r uses seed base_config.seed + r, identical across
-    values and policies so comparisons share arrival sample paths.
+    A cell is the base config with the swept key, the policy and the seed
+    replaced, exactly what `railsched run` would run with those keys.  Each
+    replication r uses seed base_config.seed + r, identical across values
+    and policies so comparisons share arrival sample paths.
     """
-    cells = []
-    rows = []
+    key = SWEEP_PARAMETERS[spec.parameter]
+    cells, rows = [], []
     for value in spec.values:
         for policy in spec.policies:
             for rep in range(spec.replications):
@@ -122,28 +112,26 @@ def run_sweep(spec: SweepSpec, base_config: ScenarioConfig, workers: int = 1) ->
                 row = SweepRow(parameter=spec.parameter, value=float(value), policy=policy, seed=seed, status="failed")
                 rows.append(row)
                 try:
-                    cell_config = apply_parameter(base_config, spec.parameter, value)
+                    cells.append((row, with_updates(base_config, **{key: float(value)}, policy=policy, seed=seed)))
                 except ConfigError as exc:
                     row.error = str(exc)
-                    continue
-                cells.append((row, cell_config, policy, seed))
 
     if workers > 1 and len(cells) > 1:
         # The fork start method launches every worker up front, so ask for no
         # more workers than there are cells.
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-            futures = [(pool.submit(_run_cell, *cell[1:]), cell) for cell in cells]
-        broken = [cell for future, cell in futures if not _store_result(cell[0], future)]
+            futures = [(pool.submit(_run_cell, config), row, config) for row, config in cells]
+        broken = [(row, config) for future, row, config in futures if not _store_result(row, future)]
         # A worker that dies breaks the whole pool and fails every cell still
         # in it; rerun those alone, each in a fresh pool, so only a cell that
         # crashes again fails.
-        for row, cfg, pol, seed in broken:
+        for row, config in broken:
             with concurrent.futures.ProcessPoolExecutor(max_workers=1) as solo:
-                _store_result(row, solo.submit(_run_cell, cfg, pol, seed))
+                _store_result(row, solo.submit(_run_cell, config))
     else:
-        for row, cfg, pol, seed in cells:
+        for row, config in cells:
             try:
-                _fill_row(row, _run_cell(cfg, pol, seed))
+                _fill_row(row, _run_cell(config))
             except Exception as exc:  # noqa: BLE001 - cell isolation is the point
                 row.error = str(exc)
     return SweepTable(rows=rows)
@@ -161,9 +149,9 @@ def _store_result(row: SweepRow, future) -> bool:
     return True
 
 
-def _fill_row(row: SweepRow, result) -> None:
-    row.avg_power, row.mean_delay, row.avg_delay, row.delay_ok, row.power_ok = result
-    row.status = "ok"
+def _fill_row(row: SweepRow, summary: SimSummary) -> None:
+    row.avg_power, row.avg_delay, row.power_ok = summary.avg_power, summary.avg_delay, summary.power_ok
+    row.mean_delay, row.delay_ok, row.status = float(np.mean(summary.avg_delay)), all(summary.delay_ok), "ok"
 
 
 _SWEEP_COLUMNS = ("parameter", "value", "policy", "seed", "status", "avg_power", "mean_delay", "avg_delay", "delay_ok", "power_ok", "error")

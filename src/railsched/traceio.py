@@ -1,9 +1,11 @@
-"""Loss-free text serialization for traces, summaries, and sweep tables.
+"""Loss-free text serialization for traces and run summaries.
 
 Traces are comma-delimited with one row per slot and a fixed column order:
 t, d, N, P, C, served, then A/mu/Q/X per service, then Y and the slot's
-total drops (6 + 4K + 2 columns).  Floats are written with 17 significant
-digits so parsing returns the exact double and a write/read/write cycle is
+total drops (6 + 4K + 2 columns).  Summaries are `field = value` lines.
+Each file's fields are listed once, in a table below that both the writer
+and the reader follow.  Floats are written with 17 significant digits so
+parsing returns the exact double and a write/read/write cycle is
 byte-identical.
 """
 
@@ -24,29 +26,33 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+# The trace schema: (column, Trace field, integer) for the columns before
+# the services, for each service's columns (named with the service index
+# appended), and for the columns after them.
+_HEAD = (("t", "slot", True), ("d", "distance", False), ("N", "noise", False), ("P", "power", False), ("C", "capacity", True), ("served", "served", True))
+_SERVICE = (("A", "arrivals", True), ("mu", "allocation", True), ("Q", "queues", True), ("X", "virtual_delay", False))
+_TAIL = (("Y", "virtual_power", False), ("drops", "drops", True))
+
+
+def _trace_schema(num_services: int) -> list[tuple[str, str, bool, int | None]]:
+    """(column, Trace field, integer, service index or None) for every column in file order."""
+    per_service = [(f"{column}{k}", name, integer, k) for k in range(num_services) for column, name, integer in _SERVICE]
+    return [(*field, None) for field in _HEAD] + per_service + [(*field, None) for field in _TAIL]
+
+
 def trace_columns(num_services: int) -> list[str]:
-    cols = ["t", "d", "N", "P", "C", "served"]
-    for k in range(num_services):
-        cols += [f"A{k}", f"mu{k}", f"Q{k}", f"X{k}"]
-    cols += ["Y", "drops"]
-    return cols
+    return [column for column, *_ in _trace_schema(num_services)]
 
 
 # Rows formatted per write; bounds the strings alive at once.
 _WRITE_CHUNK_ROWS = 2048
 
 
-def _int_columns(num_services: int) -> set[str]:
-    return {"t", "C", "served", "drops"} | {f"{p}{k}" for k in range(num_services) for p in ("A", "mu", "Q")}
-
-
 def write_trace(trace: Trace, path: str | Path) -> None:
-    columns = [trace.slot, trace.distance, trace.noise, trace.power, trace.capacity, trace.served]
-    for k in range(trace.num_services):
-        columns += [trace.arrivals[:, k], trace.allocation[:, k], trace.queues[:, k], trace.virtual_delay[:, k]]
-    columns += [trace.virtual_power, trace.drops]
+    schema = _trace_schema(trace.num_services)
+    columns = [getattr(trace, name) if k is None else getattr(trace, name)[:, k] for _, name, _, k in schema]
     # The text `_fmt` gives each value: integers in full, floats with 17 digits.
-    formats = [str if np.issubdtype(col.dtype, np.integer) else "{:.17g}".format for col in columns]
+    formats = [str if integer else "{:.17g}".format for _, _, integer, _ in schema]
     with open(path, "w", encoding="utf-8") as out:
         out.write(",".join(trace_columns(trace.num_services)) + "\n")
         for start in range(0, len(trace), _WRITE_CHUNK_ROWS):
@@ -65,13 +71,13 @@ def read_trace(path: str | Path) -> Trace:
     """
     with open(path, encoding="utf-8") as src:
         header = src.readline().rstrip("\n").split(",")
-        if (len(header) - 8) % 4 != 0:
+        k_count, extra = divmod(len(header) - len(_HEAD) - len(_TAIL), len(_SERVICE))
+        if extra:
             raise ValueError(f"{path}: {len(header)} columns do not fit the 6 + 4K + 2 trace schema")
-        k_count = (len(header) - 8) // 4
+        schema = _trace_schema(k_count)
         if header != trace_columns(k_count):
             raise ValueError(f"{path}: unexpected trace header")
-        ints = _int_columns(k_count)
-        dtype = [(name, np.int64 if name in ints else np.float64) for name in header]
+        dtype = [(column, np.int64 if integer else np.float64) for column, _, integer, _ in schema]
         lines = (line for _, line in _numbered_lines(path, src))
         first = next(lines, None)
         if first is None:
@@ -83,37 +89,20 @@ def read_trace(path: str | Path) -> Trace:
                 # Locate the fault one field at a time; fall back to numpy's own words.
                 src.seek(0)
                 src.readline()
-                _check_rows(path, header, ints, src)
+                _check_rows(path, schema, k_count, src)
                 raise ValueError(f"{path}: {exc}") from None
-    for name, kind in dtype:
-        if kind is np.float64:
-            bad = np.flatnonzero(~np.isfinite(rows[name]))
+    fields = {}
+    for column, name, integer, k in schema:
+        values = rows[column]
+        if not integer:
+            bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
-                raise ValueError(f"{path}: row {bad[0]}, column {name}: non-finite value {float(rows[name][bad[0]])!r}")
-
-    def column(name: str) -> np.ndarray:
-        return np.ascontiguousarray(rows[name])
-
-    def per_service(prefix: str, kind) -> np.ndarray:
-        out = np.empty((len(rows), k_count), dtype=kind)
-        for k in range(k_count):
-            out[:, k] = rows[f"{prefix}{k}"]
-        return out
-
-    return Trace(
-        slot=column("t"),
-        distance=column("d"),
-        noise=column("N"),
-        power=column("P"),
-        capacity=column("C"),
-        served=column("served"),
-        arrivals=per_service("A", np.int64),
-        allocation=per_service("mu", np.int64),
-        queues=per_service("Q", np.int64),
-        virtual_delay=per_service("X", np.float64),
-        virtual_power=column("Y"),
-        drops=column("drops"),
-    )
+                raise ValueError(f"{path}: row {bad[0]}, column {column}: non-finite value {float(values[bad[0]])!r}")
+        if k is None:
+            fields[name] = np.ascontiguousarray(values)
+        else:
+            fields.setdefault(name, np.empty((len(rows), k_count), dtype=values.dtype))[:, k] = values
+    return Trace(**fields)
 
 
 def _numbered_lines(path, src):
@@ -129,15 +118,13 @@ def _numbered_lines(path, src):
             yield row, line
 
 
-def _check_rows(path, header: list[str], ints: set[str], src) -> None:
+def _check_rows(path, schema: list[tuple[str, str, bool, int | None]], k_count: int, src) -> None:
     """Raise on the first malformed data line in `src`, naming its row and column."""
-    k_count = (len(header) - 8) // 4
-    is_int = [name in ints for name in header]
     for row, line in _numbered_lines(path, src):
         fields = line.rstrip("\n").split(",")
-        if len(fields) != len(header):
-            raise ValueError(f"{path}: row {row} has {len(fields)} fields, but the header has {len(header)} columns (K={k_count})")
-        for name, integer, raw in zip(header, is_int, fields):
+        if len(fields) != len(schema):
+            raise ValueError(f"{path}: row {row} has {len(fields)} fields, but the header has {len(schema)} columns (K={k_count})")
+        for (name, _, integer, _), raw in zip(schema, fields):
             try:
                 value = int(raw) if integer else float(raw)
             except ValueError:
@@ -147,19 +134,10 @@ def _check_rows(path, header: list[str], ints: set[str], src) -> None:
 
 
 def write_summary(summary: SimSummary, path: str | Path) -> None:
-    def vec(values) -> str:
-        return ",".join(_fmt(v) for v in values)
-
-    lines = [
-        f"horizon = {summary.horizon}",
-        f"avg_power = {_fmt(summary.avg_power)}",
-        f"avg_backlog = {vec(summary.avg_backlog)}",
-        f"avg_delay = {vec(summary.avg_delay)}",
-        f"empirical_rates = {vec(summary.empirical_rates)}",
-        f"delay_ok = {vec(int(b) for b in summary.delay_ok)}",
-        f"power_ok = {int(summary.power_ok)}",
-        f"total_drops = {vec(summary.total_drops)}",
-    ]
+    lines = []
+    for name, _, per_service in _SUMMARY_FIELDS:
+        value = getattr(summary, name)
+        lines.append(f"{name} = {','.join(map(_fmt, value if per_service else (value,)))}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -174,6 +152,20 @@ def _flag(raw: str) -> bool:
     if raw not in ("0", "1"):
         raise ValueError(f"{raw!r} is not 0 or 1")
     return raw == "1"
+
+
+# The summary file's `field = value` lines in order: the SimSummary field,
+# the parser of one value, and whether it holds one value per service.
+_SUMMARY_FIELDS = (
+    ("horizon", int, False),
+    ("avg_power", _finite, False),
+    ("avg_backlog", _finite, True),
+    ("avg_delay", _finite, True),
+    ("empirical_rates", _finite, True),
+    ("delay_ok", _flag, True),
+    ("power_ok", _flag, False),
+    ("total_drops", int, True),
+)
 
 
 def _parse(path, where: str, convert, raw: str):
@@ -206,15 +198,10 @@ def read_summary(path: str | Path) -> SimSummary:
             raise ValueError(f"{path}: field {key} has {len(values)} values, expected {length}")
         return values
 
-    avg_backlog = parse("avg_backlog", _finite, None)
-    k_count = len(avg_backlog)
-    return SimSummary(
-        avg_power=parse("avg_power", _finite, 1)[0],
-        avg_backlog=avg_backlog,
-        avg_delay=parse("avg_delay", _finite, k_count),
-        empirical_rates=parse("empirical_rates", _finite, k_count),
-        delay_ok=parse("delay_ok", _flag, k_count),
-        power_ok=parse("power_ok", _flag, 1)[0],
-        total_drops=parse("total_drops", int, k_count),
-        horizon=parse("horizon", int, 1)[0],
-    )
+    # avg_backlog, read first, sets the per-service vector length.
+    k_count = len(parse("avg_backlog", _finite, None))
+    parsed = {}
+    for name, convert, per_service in _SUMMARY_FIELDS:
+        values = parse(name, convert, k_count if per_service else 1)
+        parsed[name] = values if per_service else values[0]
+    return SimSummary(**parsed)

@@ -142,7 +142,7 @@ def baseline_runs():
     results = {}
     for seed in SEEDS:
         start = time.perf_counter()
-        trace, summary = run(config, seed=seed, record_trace=(seed == SEEDS[0]))
+        trace, summary = run(with_updates(config, seed=seed), record_trace=(seed == SEEDS[0]))
         _timings[f"baseline seed {seed}"] = time.perf_counter() - start
         results[seed] = (trace, summary)
     return config, results
@@ -155,7 +155,7 @@ def capped_variant_period_runs(baseline_runs):
     period_config = with_updates(config, horizon=config.geometry.period_slots)
     out = {}
     for policy in ("cpa-dynamic", "wfpa-dynamic"):
-        trace, _ = run(period_config, policy=policy, seed=SEEDS[0])
+        trace, _ = run(with_updates(period_config, seed=SEEDS[0]), policy=policy)
         out[policy] = trace
     return period_config, out
 
@@ -374,8 +374,8 @@ def test_criterion_10_replay_and_determinism(baseline_runs, tmp_path):
     audit_decisions(trace, config, "proposed")
 
     short = with_updates(config, horizon=20_000)
-    trace_a, _ = run(short, seed=SEEDS[0])
-    trace_b, _ = run(short, seed=SEEDS[0])
+    trace_a, _ = run(with_updates(short, seed=SEEDS[0]))
+    trace_b, _ = run(with_updates(short, seed=SEEDS[0]))
     audit_decisions(trace_a, short, "proposed")
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace(trace_a, first)

@@ -37,8 +37,8 @@ class TestRun:
 
     def test_different_seeds_differ(self):
         config = small_config()
-        _, summary_a = run(config, seed=1)
-        _, summary_b = run(config, seed=2)
+        _, summary_a = run(with_updates(config, seed=1))
+        _, summary_b = run(with_updates(config, seed=2))
         assert summary_a != summary_b
 
     @pytest.mark.parametrize("policy", sorted(POLICY_NAMES))
@@ -172,14 +172,6 @@ class TestSummarize:
         trace = self.synthetic_trace(horizon=0)
         with pytest.raises(ValueError):
             summarize(trace, default_config_k(1))
-
-    def test_warmup_skip(self):
-        config = small_config(horizon=400)
-        trace, _ = run(config)
-        full = summarize(trace, config)
-        tail = summarize(trace, config, skip=100)
-        assert tail.horizon == 300
-        assert tail != full
 
 
 def default_config_k(k):

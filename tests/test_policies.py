@@ -16,6 +16,34 @@ CONFIG = default_config()
 NOISES = noise_profile(distance_profile(30_000, CONFIG.geometry), CONFIG.radio)
 
 
+def bisection_wfpa_profile(noise_trajectory: np.ndarray, avg_power: float) -> np.ndarray:
+    """Reference water-filling: 200 bisection passes on the float budget test.
+
+    `wfpa_profile` must give this profile bit for bit.
+    """
+    if avg_power <= 0:
+        raise ValueError("avg_power must be positive")
+    noise = np.asarray(noise_trajectory, dtype=np.float64)
+    if noise.size == 0:
+        return np.zeros(0)
+    if np.any(noise <= 0):
+        raise ValueError("noise trajectory must be positive")
+    lo = float(noise.min())
+    hi = float(noise.max()) + avg_power
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(mid - noise, 0.0).mean() < avg_power:
+            lo = mid
+        else:
+            hi = mid
+    level = 0.5 * (lo + hi)
+    profile = np.maximum(level - noise, 0.0)
+    rel_err = abs(profile.mean() - avg_power) / avg_power
+    if rel_err > 1e-8:
+        raise RuntimeError(f"water-filling bisection left budget error {rel_err:.3e}")
+    return profile
+
+
 class TestProfiles:
     def test_cpa_constant(self):
         profile = cpa_profile(36.0, 1000)
@@ -52,6 +80,24 @@ class TestProfiles:
         # ... and every silent slot sits above it
         if np.any(~active):
             assert noise[~active].min() >= levels.max() - 1e-6 * levels.max()
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=1, max_size=200),
+            # flat channels, where fl(max N + budget) itself may fall short of the budget
+            st.tuples(st.floats(min_value=1e-6, max_value=1e3), st.integers(min_value=1, max_value=200)).map(lambda nk: [nk[0]] * nk[1]),
+        ),
+        st.floats(min_value=1e-3, max_value=36.0),
+    )
+    def test_wfpa_matches_bisection(self, noise, budget):
+        noise = np.asarray(noise)
+        assert np.array_equal(wfpa_profile(noise, budget), bisection_wfpa_profile(noise, budget))
+
+    def test_wfpa_matches_bisection_on_trip(self):
+        noise = noise_profile(distance_profile(CONFIG.horizon, CONFIG.geometry), CONFIG.radio)
+        for budget in (0.001, 0.5, 8.85, 36.0):
+            assert np.array_equal(wfpa_profile(noise, budget), bisection_wfpa_profile(noise, budget))
 
     def test_wfpa_rejects_bad_budget(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from railsched import sweep
 from railsched.cli import main
 from railsched.config import default_config, with_updates
 from railsched.engine import run
-from railsched.sweep import SweepSpec, _run_cell, apply_parameter, emit_plotdata, read_sweep, run_sweep, write_sweep
+from railsched.sweep import SWEEP_PARAMETERS, SweepSpec, _run_cell, emit_plotdata, read_sweep, run_sweep, write_sweep
 BASE = with_updates(default_config(), horizon=400, seed=31)
 
 # A compact track (30 m cells) so short test runs still cover whole cell periods.
@@ -24,23 +24,25 @@ seed = 31
 """
 
 
-def _crash_at_omega_half(config, policy, seed):
+def _crash_at_omega_half(config):
     """Sweep cell runner whose worker process dies on the omega = 0.5 cell."""
     if config.omega == 0.5:
         os._exit(1)
-    return _run_cell(config, policy, seed)
+    return _run_cell(config)
 
 
 class TestSweep:
     def test_single_cell_matches_direct_run(self):
-        spec = SweepSpec(parameter="omega", values=(0.8,), policies=("proposed",), replications=1)
-        table = run_sweep(spec, BASE)
-        assert len(table.rows) == 1
-        row = table.rows[0]
-        _, summary = run(BASE, policy="proposed", seed=BASE.seed, record_trace=False)
-        assert row.status == "ok"
-        assert row.avg_power == summary.avg_power
-        assert row.avg_delay == summary.avg_delay
+        # cpa-static is not the base policy, and a second replication runs on the next seed
+        for parameter, value, key in [("omega", 0.8, "omega"), ("lambda", 7.0, "arrival_rate_pkts"), ("pmax", 40.0, "max_power_w")]:
+            spec = SweepSpec(parameter=parameter, values=(value,), policies=("cpa-static",), replications=2)
+            table = run_sweep(spec, BASE)
+            assert [row.seed for row in table.rows] == [BASE.seed, BASE.seed + 1]
+            for row in table.rows:
+                _, summary = run(with_updates(BASE, **{key: value}, policy="cpa-static", seed=row.seed), record_trace=False)
+                assert row.status == "ok"
+                assert row.avg_power == summary.avg_power
+                assert row.avg_delay == summary.avg_delay
 
     def test_grid_is_complete(self):
         spec = SweepSpec(parameter="omega", values=(0.4, 0.8), policies=("proposed", "cpa-dynamic"), replications=2)
@@ -71,7 +73,7 @@ class TestSweep:
         assert [r.value for r in table.failures] == [0.5]
         assert "terminated abruptly" in table.failures[0].error
         for row in table.rows[:2] + table.rows[3:]:
-            assert row.avg_power == _run_cell(apply_parameter(BASE, "omega", row.value), "proposed", BASE.seed)[0]
+            assert row.avg_power == _run_cell(with_updates(BASE, omega=row.value)).avg_power
         argv = ["sweep", "--horizon", "200", "--param", "omega", "--values", "0.4,0.5", "--workers", "2", "--out", str(tmp_path)]
         assert main(argv) == 3
         assert [r.status for r in read_sweep(tmp_path / "sweep.csv").rows] == ["ok", "failed"]
@@ -118,10 +120,12 @@ class TestSweep:
         assert agg[0]["avg_power_std"] == pytest.approx(np.std(powers, ddof=1))
         assert agg[0]["replications"] == 3
 
-    def test_apply_parameter(self):
-        assert apply_parameter(BASE, "omega", 0.3).omega == 0.3
-        assert apply_parameter(BASE, "lambda", 7.0).traffic.arrival_rates == (7.0,) * 6
-        assert apply_parameter(BASE, "pmax", 80.0).radio.max_power == 80.0
+    def test_sweep_parameter_sets_its_field(self):
+        fields = {"omega": lambda c: c.omega, "lambda": lambda c: c.traffic.arrival_rates, "pmax": lambda c: c.radio.max_power}
+        expected = {"omega": 80.0, "lambda": (80.0,) * 6, "pmax": 80.0}
+        assert SWEEP_PARAMETERS.keys() == fields.keys()
+        for parameter, key in SWEEP_PARAMETERS.items():
+            assert fields[parameter](with_updates(BASE, **{key: 80.0})) == expected[parameter]
 
     def test_table_round_trip(self, tmp_path):
         spec = SweepSpec(parameter="pmax", values=(30.0, 50.0), policies=("proposed",), replications=1)
@@ -353,6 +357,20 @@ class TestCli:
         rows = read_sweep(tmp_path / "sweep.csv").rows
         assert [(r.value, r.status) for r in rows] == [(-1.0, "failed"), (20.0, "ok")]
         assert rows[0].error.startswith("traffic: ")
+
+    @pytest.mark.parametrize("flag, value", [("--values", "abc"), ("--reps", "0"), ("--param", "bogus"), ("--seed", "x")])
+    def test_malformed_command_line_exit_code(self, tmp_path, capsys, flag, value):
+        argv = ["sweep", "--horizon", "120", "--param", "omega", "--values", "0.8", "--out", str(tmp_path), flag, value]
+        assert main(argv) == 1
+        assert f"config error: argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_bad_policy_fails_its_cells(self, tmp_path):
+        argv = ["sweep", "--horizon", "120", "--param", "omega", "--values", "0.4,0.8", "--policies", "proposed,bogus", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        rows = read_sweep(tmp_path / "sweep.csv").rows
+        assert [(r.policy, r.status) for r in rows] == [("proposed", "ok"), ("bogus", "failed")] * 2
+        assert all(r.error.startswith("run.policy 'bogus'") for r in rows if r.status == "failed")
 
     def test_sweep_and_plotdata_pipeline(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
