@@ -37,15 +37,19 @@ def _values(raw: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {raw!r}") from None
 
 
-def _reps(raw: str) -> int:
-    if not raw.isdigit() or int(raw) < 1:
-        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {raw!r}")
-    return int(raw)
+def _whole(low: int):
+    """An argparse type: a whole number >= `low`."""
+
+    def whole_number(raw: str) -> int:
+        if not raw.isdecimal() or int(raw) < low:
+            raise argparse.ArgumentTypeError(f"expected a whole number >= {low}, got {raw!r}")
+        return int(raw)
+
+    return whole_number
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="scenario file (INI); defaults built in")
-    parser.add_argument("--policy", default=None, help="proposed | cpa-static | wfpa-static | cpa-dynamic | wfpa-dynamic")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--horizon", type=int, default=None, help="slots to simulate")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
@@ -53,7 +57,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _load(args) -> "ScenarioConfig":
     keys = ("policy", "seed", "horizon")
-    return load_config(args.config, **{key: getattr(args, key) for key in keys if getattr(args, key) is not None})
+    return load_config(args.config, **{key: getattr(args, key) for key in keys if getattr(args, key, None) is not None})
 
 
 def _cmd_run(args) -> int:
@@ -113,23 +117,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate one scenario, write trace and summary")
     _add_common(p_run)
+    p_run.add_argument("--policy", default=None, help="proposed | cpa-static | wfpa-static | cpa-dynamic | wfpa-dynamic")
     p_run.add_argument("--no-trace", action="store_true", help="skip the per-slot trace file")
     p_run.set_defaults(func=_cmd_run)
 
+    # A sweep's policies come from --policies, so it takes no --policy.
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep, write a tidy table")
     _add_common(p_sweep)
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)
     p_sweep.add_argument("--values", required=True, type=_values, help="comma-separated parameter values")
     p_sweep.add_argument("--policies", default="proposed", help="comma-separated policy names")
-    p_sweep.add_argument("--reps", type=_reps, default=1, help="replications; seed ladder starts at the config seed")
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p_sweep.add_argument("--reps", type=_whole(1), default=1, help="replications; seed ladder starts at the config seed")
+    p_sweep.add_argument("--workers", type=_whole(1), default=1, help="parallel worker processes")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_plot = sub.add_parser("plotdata", help="emit plot-ready columns for one figure")
     p_plot.add_argument("--figure", required=True, choices=FIGURES)
     p_plot.add_argument("--source", type=Path, required=True, help="trace.csv for fig3, sweep.csv otherwise")
     p_plot.add_argument("--config", type=Path, default=None, help="scenario file (fig3/fig5 reference values)")
-    p_plot.add_argument("--window-start", type=int, default=0, help="fig3 window start slot")
+    p_plot.add_argument("--window-start", type=_whole(0), default=0, help="fig3 window start slot")
     p_plot.add_argument("--out", type=Path, default=Path("."))
     p_plot.set_defaults(func=_cmd_plotdata)
 

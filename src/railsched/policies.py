@@ -42,8 +42,9 @@ class Policy:
 
 def cpa_profile(avg_power: float, num_slots: int) -> np.ndarray:
     """Constant power at the average-power budget, every slot."""
-    if avg_power <= 0:
-        raise ValueError("avg_power must be positive")
+    # Chained comparisons are False for NaN, so this check rejects it too.
+    if not 0.0 < avg_power < math.inf:
+        raise ValueError(f"avg_power must be finite and positive, got {avg_power}")
     return np.full(num_slots, float(avg_power))
 
 
@@ -56,13 +57,15 @@ def wfpa_profile(noise_trajectory: np.ndarray, avg_power: float) -> np.ndarray:
     maximizes total throughput sum_t log2(1 + P(t)/N(t)) under the
     average-power budget.
     """
-    if avg_power <= 0:
-        raise ValueError("avg_power must be positive")
+    # Comparisons are False for NaN, so these checks reject it too.
+    if not 0.0 < avg_power < math.inf:
+        raise ValueError(f"avg_power must be finite and positive, got {avg_power}")
     noise = np.asarray(noise_trajectory, dtype=np.float64)
     if noise.size == 0:
         return np.zeros(0)
-    if np.any(noise <= 0):
-        raise ValueError("noise trajectory must be positive")
+    # An infinite noise value is allowed: its slot gets zero power.
+    if not np.all(noise > 0.0):
+        raise ValueError("noise trajectory must be positive, with no NaN")
     lo = float(noise.min())
     hi = float(noise.max()) + avg_power
 

@@ -4,6 +4,8 @@ A sweep runs every (value, policy, replication) cell, keeps per-cell
 summaries in a tidy long-format table (one row per run), and aggregates
 mean and sample stddev across replications on demand.  Cells that fail
 keep their error message in the table; the remaining cells still run.
+The sweep.csv columns and the fig4-fig6 columns are each listed once, in
+a table that both the writer and the reader follow.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .traceio import _finite, _flag, _fmt, _parse
 SWEEP_PARAMETERS = {"omega": "omega", "lambda": "arrival_rate_pkts", "pmax": "max_power_w"}
 
 FIGURES = ("fig3", "fig4", "fig5", "fig6")
+
+# The fig4-fig6 columns in file order, each a key of an `aggregate` row; the
+# header names the first after the swept parameter.
+_FIGURE_COLUMNS = ("value", "policy", "avg_power_mean", "avg_power_std", "mean_delay_mean", "mean_delay_std")
 
 
 @dataclass(frozen=True)
@@ -75,19 +81,15 @@ class SweepTable:
                 groups.setdefault((row.value, row.policy), []).append(row)
         out = []
         for (value, policy), rows in sorted(groups.items()):
-            powers = [r.avg_power for r in rows]
-            delays = [r.mean_delay for r in rows]
-            out.append(
-                {
-                    "value": value,
-                    "policy": policy,
-                    "avg_power_mean": float(np.mean(powers)),
-                    "avg_power_std": float(np.std(powers, ddof=1)) if len(powers) > 1 else 0.0,
-                    "mean_delay_mean": float(np.mean(delays)),
-                    "mean_delay_std": float(np.std(delays, ddof=1)) if len(delays) > 1 else 0.0,
-                    "replications": len(rows),
-                }
-            )
+            group = {"value": value, "policy": policy, "replications": len(rows)}
+            for column in _FIGURE_COLUMNS[2:]:  # the statistics, each `<SweepRow field>_<mean or std>`
+                field, stat = column.rsplit("_", 1)
+                samples = [getattr(r, field) for r in rows]
+                if stat == "mean":
+                    group[column] = float(np.mean(samples))
+                else:
+                    group[column] = float(np.std(samples, ddof=1)) if len(samples) > 1 else 0.0
+            out.append(group)
         return out
 
 
@@ -121,30 +123,27 @@ def run_sweep(spec: SweepSpec, base_config: ScenarioConfig, workers: int = 1) ->
         # more workers than there are cells.
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
             futures = [(pool.submit(_run_cell, config), row, config) for row, config in cells]
-        broken = [(row, config) for future, row, config in futures if not _store_result(row, future)]
+        broken = [(row, config) for future, row, config in futures if not _store_result(row, future.result)]
         # A worker that dies breaks the whole pool and fails every cell still
         # in it; rerun those alone, each in a fresh pool, so only a cell that
         # crashes again fails.
         for row, config in broken:
             with concurrent.futures.ProcessPoolExecutor(max_workers=1) as solo:
-                _store_result(row, solo.submit(_run_cell, config))
+                _store_result(row, solo.submit(_run_cell, config).result)
     else:
         for row, config in cells:
-            try:
-                _fill_row(row, _run_cell(config))
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-                row.error = str(exc)
+            _store_result(row, lambda: _run_cell(config))
     return SweepTable(rows=rows)
 
 
-def _store_result(row: SweepRow, future) -> bool:
-    """Record a finished cell; False when the pool broke before the cell could finish."""
+def _store_result(row: SweepRow, result) -> bool:
+    """Record a cell's outcome, `result()`; False when the pool broke before the cell could finish."""
     try:
-        _fill_row(row, future.result())
+        _fill_row(row, result())
     except concurrent.futures.BrokenExecutor as exc:
         row.error = str(exc)
         return False
-    except Exception as exc:  # noqa: BLE001
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the point
         row.error = str(exc)
     return True
 
@@ -154,29 +153,31 @@ def _fill_row(row: SweepRow, summary: SimSummary) -> None:
     row.mean_delay, row.delay_ok, row.status = float(np.mean(summary.avg_delay)), all(summary.delay_ok), "ok"
 
 
-_SWEEP_COLUMNS = ("parameter", "value", "policy", "seed", "status", "avg_power", "mean_delay", "avg_delay", "delay_ok", "power_ok", "error")
+def _sweep_schema(number=float) -> tuple:
+    """(column, text of a value, parser of a field) for every sweep.csv column in file order.
+
+    `number` parses one measured value: avg_power, mean_delay and each
+    avg_delay entry.
+    """
+    return (
+        ("parameter", str, str),
+        ("value", _fmt, _finite),
+        ("policy", str, str),
+        ("seed", _fmt, int),
+        ("status", str, str),
+        ("avg_power", _fmt, number),
+        ("mean_delay", _fmt, number),
+        ("avg_delay", lambda values: ";".join(map(_fmt, values)), lambda raw: tuple(map(number, raw.split(";"))) if raw else ()),
+        ("delay_ok", _fmt, _flag),
+        ("power_ok", _fmt, _flag),
+        ("error", lambda text: text.replace(",", ";").replace("\n", " "), str),
+    )
 
 
 def write_sweep(table: SweepTable, path: str | Path) -> None:
-    lines = [",".join(_SWEEP_COLUMNS)]
-    for row in table.rows:
-        lines.append(
-            ",".join(
-                [
-                    row.parameter,
-                    _fmt(row.value),
-                    row.policy,
-                    str(row.seed),
-                    row.status,
-                    _fmt(row.avg_power),
-                    _fmt(row.mean_delay),
-                    ";".join(_fmt(v) for v in row.avg_delay),
-                    str(int(row.delay_ok)),
-                    str(int(row.power_ok)),
-                    row.error.replace(",", ";").replace("\n", " "),
-                ]
-            )
-        )
+    columns = _sweep_schema()
+    lines = [",".join(name for name, _, _ in columns)]
+    lines += [",".join(text(getattr(row, name)) for name, text, _ in columns) for row in table.rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -189,29 +190,22 @@ def read_sweep(path: str | Path) -> SweepTable:
     long as every other `ok` row's; a failed row may carry NaN.
     """
     lines = Path(path).read_text(encoding="utf-8").rstrip("\n").split("\n")
-    if lines[0] != ",".join(_SWEEP_COLUMNS):
+    names = [name for name, _, _ in _sweep_schema()]
+    if lines[0] != ",".join(names):
         raise ValueError(f"{path}: unexpected sweep header")
     rows = []
     k_count = None
     for index, line in enumerate(lines[1:]):
-        cells = dict(zip(_SWEEP_COLUMNS, line.split(",", maxsplit=len(_SWEEP_COLUMNS) - 1)))
-        if len(cells) != len(_SWEEP_COLUMNS):
-            raise ValueError(f"{path}: row {index} has {len(cells)} fields, but the header has {len(_SWEEP_COLUMNS)} columns")
-        if cells["status"] not in ("ok", "failed"):
-            raise ValueError(f"{path}: row {index}, column status: {cells['status']!r} is not 'ok' or 'failed'")
-        number = _finite if cells["status"] == "ok" else float
-        converters = {
-            "value": _finite,
-            "seed": int,
-            "avg_power": number,
-            "mean_delay": number,
-            "avg_delay": lambda raw: tuple(map(number, raw.split(";"))) if raw else (),
-            "delay_ok": _flag,
-            "power_ok": _flag,
-        }
-        for name, convert in converters.items():
-            cells[name] = _parse(path, f"row {index}, column {name}", convert, cells[name])
-        if cells["status"] == "ok":
+        fields = line.split(",", maxsplit=len(names) - 1)
+        if len(fields) != len(names):
+            raise ValueError(f"{path}: row {index} has {len(fields)} fields, but the header has {len(names)} columns")
+        status = fields[names.index("status")]
+        if status not in ("ok", "failed"):
+            raise ValueError(f"{path}: row {index}, column status: {status!r} is not 'ok' or 'failed'")
+        # A failed row's measured values may be NaN; an ok row's must be finite.
+        columns = _sweep_schema(_finite if status == "ok" else float)
+        cells = {name: _parse(path, f"row {index}, column {name}", parse, raw) for (name, _, parse), raw in zip(columns, fields)}
+        if status == "ok":
             if k_count not in (None, len(cells["avg_delay"])):
                 raise ValueError(f"{path}: row {index}, column avg_delay: {len(cells['avg_delay'])} values, but earlier rows have {k_count}")
             k_count = len(cells["avg_delay"])
@@ -263,7 +257,7 @@ def emit_plotdata(
     if not aggregated:
         raise ValueError(f"{figure}: no successful sweep cells to plot")
 
-    header = [wanted, "policy", "avg_power_mean", "avg_power_std", "mean_delay_mean", "mean_delay_std"]
+    header = [wanted, *_FIGURE_COLUMNS[1:]]
     extra: list[str] = []
     if figure == "fig5":
         if config is None:
@@ -272,13 +266,6 @@ def emit_plotdata(
         header += ["p_av_ref", "w_av_ref"]
     lines = [",".join(header)]
     for group in aggregated:
-        row = [
-            _fmt(group["value"]),
-            group["policy"],
-            _fmt(group["avg_power_mean"]),
-            _fmt(group["avg_power_std"]),
-            _fmt(group["mean_delay_mean"]),
-            _fmt(group["mean_delay_std"]),
-        ]
+        row = [group[column] if column == "policy" else _fmt(group[column]) for column in _FIGURE_COLUMNS]
         lines.append(",".join(row + extra))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

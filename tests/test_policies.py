@@ -104,8 +104,19 @@ class TestProfiles:
             wfpa_profile(np.array([1.0]), 0.0)
 
     def test_wfpa_rejects_bad_noise(self):
-        with pytest.raises(ValueError):
-            wfpa_profile(np.array([1.0, -1.0]), 2.0)
+        for noise in ([1.0, -1.0], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="noise trajectory"):
+                wfpa_profile(np.array(noise), 2.0)
+
+    def test_wfpa_gives_infinite_noise_zero_power(self):
+        assert wfpa_profile(np.array([np.inf, 1.0]), 1.0).tolist() == [0.0, 2.0]
+
+    @pytest.mark.parametrize("budget", [np.nan, np.inf, 0.0])
+    def test_profiles_reject_non_finite_or_nonpositive_budget(self, budget):
+        with pytest.raises(ValueError, match="avg_power must be finite and positive"):
+            cpa_profile(budget, 3)
+        with pytest.raises(ValueError, match="avg_power must be finite and positive"):
+            wfpa_profile(np.array([1.0, 2.0]), budget)
 
 
 class TestBuildPolicy:
@@ -132,7 +143,8 @@ class TestBuildPolicy:
         # a static policy transmits its precomputed profile, which must be a valid power cap
         policy = build_policy("cpa-static", 36.0, 50.0, np.ones(4))
         assert policy.static and np.all(policy.power_cap == 36.0)
-        with pytest.raises(ValueError, match="cpa-static power cap"):
+        # the CPA profile itself rejects a NaN budget
+        with pytest.raises(ValueError, match="avg_power must be finite and positive"):
             build_policy("cpa-static", float("nan"), 50.0, np.ones(4))
         with pytest.raises(ValueError, match="proposed power cap"):
             build_policy("proposed", 36.0, float("nan"), np.ones(4))

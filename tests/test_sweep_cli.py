@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import math
 import os
 import re
@@ -281,6 +282,50 @@ class TestPlotData:
         assert not (tmp_path / "y.csv").exists()
 
 
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# SHA-256 of each written file, generated before the sweep table and the
+# figure columns were each laid out in one table.
+PINNED_SWEEP_OUTPUTS = {
+    "sweep_pmax.csv": "e5850cad11aa5ffb68cc845e74e0e9f6cae81f5e72bb024337a34084bb4dda84",
+    "sweep_lambda.csv": "da9466534d15d1d2e04e7379498727b49c7a8732f0ef41b16df154923bca02bf",
+    "sweep_omega.csv": "4f3130fa36ae1d847169cb29975aad46595d1d005838eb5908465d33b1494e6d",
+    "fig3.csv": "c131d15678d5f3b12f8d17512be7c5889899c7f8f3e0b60ef22a17a3ff1faa42",
+    "fig4.csv": "9f11f96d6e8b2c4f06ed02f676c25e5523e9379900a5a4125c75e1ea3e490a13",
+    "fig5.csv": "5d9320f9708f84e37d86433f702f8a52c3c2c4a2a41219cb4a6bc228a9616349",
+    "fig6.csv": "1d3af8478fb9e7a5f3d08e37a460be27b837b81ac147ad3c00839bd56fd911f0",
+}
+
+
+class TestOutputsPinned:
+    def test_sweep_and_figure_files_pinned(self, tmp_path):
+        """sweep.csv and the fig3-fig6 files stay byte-identical, and a sweep file reads back to the same bytes.
+
+        The pmax sweep's 30 W cells fail (the 36 W budget exceeds the cap)
+        and the lambda sweep's -1 cells fail with commas in their error, so
+        failed rows, with their NaN fields and escaped error text, are
+        pinned too.
+        """
+        base = with_updates(BASE, horizon=200)
+        sweeps = {
+            "pmax": ((30.0, 50.0), "fig6"),
+            "lambda": ((-1.0, 20.0), "fig4"),
+            "omega": ((0.4, 0.8), "fig5"),
+        }
+        for parameter, (values, figure) in sweeps.items():
+            spec = SweepSpec(parameter=parameter, values=values, policies=("proposed", "cpa-dynamic"), replications=2)
+            path = tmp_path / f"sweep_{parameter}.csv"
+            write_sweep(run_sweep(spec, base), path)
+            write_sweep(read_sweep(path), tmp_path / "again.csv")
+            assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+            emit_plotdata(read_sweep(path), figure, tmp_path / f"{figure}.csv", config=base)
+        small = _small_config(tmp_path)
+        emit_plotdata(run(small)[0], "fig3", tmp_path / "fig3.csv", config=small, window_start=250)
+        assert {name: _digest(tmp_path / name) for name in PINNED_SWEEP_OUTPUTS} == PINNED_SWEEP_OUTPUTS
+
+
 class TestLoadTrends:
     def test_heavier_load_needs_more_power_and_waits_longer(self):
         # one cell period per run keeps this cheap but representative
@@ -358,12 +403,31 @@ class TestCli:
         assert [(r.value, r.status) for r in rows] == [(-1.0, "failed"), (20.0, "ok")]
         assert rows[0].error.startswith("traffic: ")
 
-    @pytest.mark.parametrize("flag, value", [("--values", "abc"), ("--reps", "0"), ("--param", "bogus"), ("--seed", "x")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--values", "abc"), ("--reps", "0"), ("--param", "bogus"), ("--seed", "x"), ("--workers", "0"), ("--workers", "-3")]
+    )
     def test_malformed_command_line_exit_code(self, tmp_path, capsys, flag, value):
         argv = ["sweep", "--horizon", "120", "--param", "omega", "--values", "0.8", "--out", str(tmp_path), flag, value]
         assert main(argv) == 1
         assert f"config error: argument {flag}: " in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_takes_no_policy_flag(self, tmp_path, capsys):
+        # each cell's policy comes from --policies
+        argv = ["sweep", "--horizon", "120", "--policy", "cpa-static", "--param", "omega", "--values", "0.8", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "config error: unrecognized arguments: --policy cpa-static" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_plotdata_window_start_range_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(SMALL_GEOM_INI)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        argv = ["plotdata", "--figure", "fig3", "--source", str(tmp_path / "trace.csv"), "--config", str(cfg), "--out", str(tmp_path)]
+        assert main([*argv, "--window-start", "-5"]) == 1
+        assert "config error: argument --window-start: expected a whole number >= 0, got '-5'" in capsys.readouterr().err
+        assert not (tmp_path / "fig3.csv").exists()
+        assert main([*argv, "--window-start", "0"]) == 0
 
     def test_sweep_bad_policy_fails_its_cells(self, tmp_path):
         argv = ["sweep", "--horizon", "120", "--param", "omega", "--values", "0.4,0.8", "--policies", "proposed,bogus", "--out", str(tmp_path)]
