@@ -16,6 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from railsched import default_config, emit_plotdata, run, with_updates
+from railsched.cli import _whole
 from railsched.policies import POLICY_NAMES
 from railsched.traceio import write_summary, write_trace
 
@@ -24,7 +25,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("results/cell_period"))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--periods", type=int, default=3, help="cell periods to simulate")
+    parser.add_argument("--periods", type=_whole(1), default=3, help="cell periods to simulate")
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 

@@ -15,15 +15,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from railsched import SweepSpec, default_config, emit_plotdata, run_sweep, with_updates
+from railsched.cli import _whole
 from railsched.sweep import write_sweep
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("results/tradeoffs"))
-    parser.add_argument("--horizon", type=int, default=300_000)
-    parser.add_argument("--reps", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--horizon", type=_whole(1), default=300_000)
+    parser.add_argument("--reps", type=_whole(1), default=3)
+    parser.add_argument("--workers", type=_whole(1), default=2)
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 

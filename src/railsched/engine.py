@@ -17,6 +17,7 @@ transition and `audit_decisions` re-derives every slot's action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -139,7 +140,7 @@ def run(
             trace.virtual_power[t] = state.virtual_power
 
         power_sum += power
-        backlog_sum = [b + q for b, q in zip(backlog_sum, state.queues)]
+        backlog_sum = list(map(add, backlog_sum, state.queues))
 
         drops = update_real_queue(state, allocation, arrivals_all[t].tolist(), traffic)
         update_virtual_delay(state, traffic)

@@ -146,11 +146,4 @@ def decide(
 
 
 def _instance(state: SystemState, noise: float, capacity_cap: float, beta: float, eta: float) -> SlotInstance:
-    return SlotInstance(
-        weights=tuple(state.virtual_delay),
-        backlogs=tuple(state.queues),
-        beta=beta,
-        eta=eta,
-        noise_equiv=noise,
-        capacity_cap=capacity_cap,
-    )
+    return SlotInstance(tuple(state.virtual_delay), tuple(state.queues), beta, eta, noise, capacity_cap)

@@ -23,10 +23,12 @@ ties to the smaller C.  This is the same global optimum the paper reaches
 by golden-section search over the relaxed concave M(C) plus rounding, found
 exactly with no iteration and no stopping width.
 
-`solve_slot` does it in one pass: one sort of the services by weight, the
-backlog prefix sums prefix[i] and the table full[i] = M1(prefix[i]), the
-threshold walk, the neighbour steps, then the greedy split (stopping once C
-is used up) and the power N * (2^(eta*C) - 1).
+`solve_slot` does it in one pass: one sort of the services by weight, then
+one loop over that order that builds the sorted weights xs, the backlog
+prefix sums prefix[i] and the table full[i] = M1(prefix[i]); then the
+threshold walk, the neighbour steps, the greedy split (stopping once C is
+used up) and the power N * (2^(eta*C) - 1), the same float that
+`power_for_capacity` returns.
 A neighbour step reads M1(n) from the table: with j the first index where
 prefix[j] >= n, it is full[j] when prefix[j] == n and otherwise
 full[j-1] + x_{j-1} * (n - prefix[j-1]).  That is bit for bit the float the
@@ -40,9 +42,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
+from typing import NamedTuple
 
 from .channel import MAX_EXPONENT, floor_eps, power_for_capacity
 
@@ -50,16 +50,7 @@ from .channel import MAX_EXPONENT, floor_eps, power_for_capacity
 _BRUTE_FORCE_LIMIT = 100_000
 
 
-@dataclass(frozen=True)
-class SlotInstance:
-    """One slot's solver input.
-
-    `weights` are the delay-pressure virtual queues X_k, `beta` is the
-    aggregated power price omega * N * K * Y, and `capacity_cap` is the
-    real-valued packet cap implied by the slot's power cap.  Every float
-    must be finite; `eta` and `noise_equiv` must be positive.
-    """
-
+class _SlotFields(NamedTuple):
     weights: tuple[float, ...]
     backlogs: tuple[int, ...]
     beta: float
@@ -67,33 +58,58 @@ class SlotInstance:
     noise_equiv: float
     capacity_cap: float
 
-    def __post_init__(self) -> None:
+
+class SlotInstance(_SlotFields):
+    """One slot's solver input, an immutable named tuple validated on construction.
+
+    `weights` are the delay-pressure virtual queues X_k, `beta` is the
+    aggregated power price omega * N * K * Y, and `capacity_cap` is the
+    real-valued packet cap implied by the slot's power cap.  Every float
+    must be finite; `eta` and `noise_equiv` must be positive.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        weights: tuple[float, ...],
+        backlogs: tuple[int, ...],
+        beta: float,
+        eta: float,
+        noise_equiv: float,
+        capacity_cap: float,
+    ) -> SlotInstance:
         # One chained comparison per value: NaN fails every comparison, so
         # `not lo <= v < inf` rejects NaN, infinities and out-of-range values.
-        if len(self.weights) != len(self.backlogs):
+        if len(weights) != len(backlogs):
             raise ValueError("weights and backlogs must have equal length")
-        for w in self.weights:
+        for w in weights:
             if not 0.0 <= w < math.inf:
                 raise ValueError(f"weights must be finite and non-negative, got {w!r}")
-        for q in self.backlogs:
+        for q in backlogs:
             if q < 0:
                 raise ValueError("backlogs must be non-negative")
-        if not 0.0 <= self.beta < math.inf:
-            raise ValueError(f"beta must be finite and non-negative, got {self.beta!r}")
-        if not 0.0 < self.eta < math.inf:
-            raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
-        if not 0.0 < self.noise_equiv < math.inf:
-            raise ValueError(f"noise_equiv must be finite and positive, got {self.noise_equiv!r}")
-        if not 0.0 <= self.capacity_cap < math.inf:
-            raise ValueError(f"capacity_cap must be finite and non-negative, got {self.capacity_cap!r}")
+        if not 0.0 <= beta < math.inf:
+            raise ValueError(f"beta must be finite and non-negative, got {beta!r}")
+        if not 0.0 < eta < math.inf:
+            raise ValueError(f"eta must be finite and positive, got {eta!r}")
+        if not 0.0 < noise_equiv < math.inf:
+            raise ValueError(f"noise_equiv must be finite and positive, got {noise_equiv!r}")
+        if not 0.0 <= capacity_cap < math.inf:
+            raise ValueError(f"capacity_cap must be finite and non-negative, got {capacity_cap!r}")
+        return tuple.__new__(cls, (weights, backlogs, beta, eta, noise_equiv, capacity_cap))
+
+    @classmethod
+    def _make(cls, iterable) -> SlotInstance:
+        # `_replace` builds through `_make`, which would otherwise skip the checks.
+        return cls(*iterable)
 
     @property
     def total_backlog(self) -> int:
         return sum(self.backlogs)
 
 
-@dataclass(frozen=True)
-class SlotSolution:
+class SlotSolution(NamedTuple):
     capacity: int  # C*, packets actually carried
     power: float  # P* = N * (2^(eta*C*) - 1), W
     allocation: tuple[int, ...]  # mu*, sums to C*
@@ -142,33 +158,42 @@ def greedy_allocation(capacity: int, inst: SlotInstance) -> list[int]:
     capacity = int(capacity)
     if capacity < 0 or capacity > inst.total_backlog:
         raise ValueError(f"capacity {capacity} outside [0, {inst.total_backlog}]")
-    order, _, prefix = _sorted_view(inst)
-    return _fill(capacity, inst.backlogs, order, prefix)
+    return _fill(capacity, inst.backlogs, service_order(inst))
 
 
-def _fill(capacity: int, backlogs: tuple[int, ...], order: list[int], prefix: list[int]) -> list[int]:
+def _fill(capacity: int, backlogs: tuple[int, ...], order: list[int]) -> list[int]:
     # Services past the one that exhausts `capacity` get nothing.
     mu = [0] * len(order)
-    for i, k in enumerate(order):
-        if prefix[i + 1] >= capacity:
-            mu[k] = capacity - prefix[i]
+    for k in order:
+        q = backlogs[k]
+        if q >= capacity:
+            mu[k] = capacity
             break
-        mu[k] = backlogs[k]
+        mu[k] = q
+        capacity -= q
     return mu
 
 
 def solve_slot(inst: SlotInstance) -> SlotSolution:
     """Full slot solve in one pass: sort, threshold rule, neighbour steps, split and price."""
-    weights, backlogs, beta, eta = inst.weights, inst.backlogs, inst.beta, inst.eta
-    order = service_order(inst)
-    xs = [weights[k] for k in order]
-    qs = [backlogs[k] for k in order]
+    weights, backlogs, beta, eta, noise_equiv, capacity_cap = inst
+    # `service_order`'s sort: descending weight, ties by ascending index.
+    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
     # prefix[i] is the backlog of the i highest-weight services and full[i] is
     # M1(prefix[i]), summed segment by segment in `_m1`'s order.
-    prefix = list(accumulate(qs, initial=0))
-    full = list(accumulate(map(mul, xs, qs), initial=0.0))
+    xs = []
+    prefix = [0]
+    full = [0.0]
+    total, value = 0, 0.0
+    for k in order:
+        x, q = weights[k], backlogs[k]
+        xs.append(x)
+        total += q
+        value += x * q
+        prefix.append(total)
+        full.append(value)
 
-    hi = min(prefix[-1], floor_eps(inst.capacity_cap))
+    hi = min(total, floor_eps(capacity_cap))
     c, objective = 0, 0.0
     if hi > 0:
         # Threshold rule: packet c+1 gains its service weight x and costs
@@ -206,15 +231,15 @@ def solve_slot(inst: SlotInstance) -> SlotSolution:
     exponent = eta * c
     if exponent > MAX_EXPONENT:
         raise ValueError(f"capacity {float(c)} exceeds the representable power range")
-    power = inst.noise_equiv * (2.0**exponent - 1.0)
-    return SlotSolution(capacity=c, power=power, allocation=tuple(_fill(c, backlogs, order, prefix)), objective=objective)
+    return SlotSolution(c, noise_equiv * (2.0**exponent - 1.0), tuple(_fill(c, backlogs, order)), objective)
 
 
 def brute_force_slot(inst: SlotInstance) -> SlotSolution:
     """Independent oracle: enumerate every feasible integer capacity.
 
-    Shares only the greedy M1 evaluation with `solve_slot`; no threshold
-    rule, no concavity assumption.
+    Shares only the greedy split `_fill` with `solve_slot`: M1 comes from
+    the segment walk `_m1`, the power from `power_for_capacity`, with no
+    threshold rule and no concavity assumption.
     """
     order, xs, prefix = _sorted_view(inst)
     hi = min(prefix[-1], floor_eps(inst.capacity_cap))
@@ -226,10 +251,10 @@ def brute_force_slot(inst: SlotInstance) -> SlotSolution:
         val = _m1(float(c), xs, prefix) - beta * (2.0 ** (eta * c) - 1.0)
         if val > best_val:
             best_c, best_val = c, val
-    return _solution_at(best_c, best_val, inst, order, prefix)
+    return _solution_at(best_c, best_val, inst, order)
 
 
-def _solution_at(capacity: int, objective: float, inst: SlotInstance, order: list[int], prefix: list[int]) -> SlotSolution:
-    mu = _fill(capacity, inst.backlogs, order, prefix)
+def _solution_at(capacity: int, objective: float, inst: SlotInstance, order: list[int]) -> SlotSolution:
+    mu = _fill(capacity, inst.backlogs, order)
     power = power_for_capacity(float(capacity), inst.noise_equiv, inst.eta)
     return SlotSolution(capacity=capacity, power=power, allocation=tuple(mu), objective=objective)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from railsched.channel import power_for_capacity
+from railsched.policies import build_policy, decide
+from railsched.queues import SystemState
 from railsched.selftest import link_capacity, m1_value, m2_value, objective_value
 from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, service_order, solve_slot
 
@@ -244,6 +246,8 @@ class TestSolveSlot:
         assert abs(fast.objective - slow.objective) / scale <= 1e-9
         assert fast.capacity == slow.capacity
         assert fast.allocation == slow.allocation
+        # solve_slot prices C* inline; brute force prices it with power_for_capacity
+        assert fast.power.hex() == slow.power.hex()
 
     def test_oracle_equivalence_at_near_ties(self):
         # weights placed on (or one ulp either side of) the marginal cost of
@@ -266,6 +270,7 @@ class TestSolveSlot:
             )
             fast, slow = solve_slot(inst), brute_force_slot(inst)
             assert (fast.capacity, fast.allocation, fast.objective) == (slow.capacity, slow.allocation, slow.objective), inst
+            assert fast.power.hex() == slow.power.hex(), inst
 
     @settings(max_examples=100, deadline=None)
     @given(instances(max_services=6, max_backlog=30))
@@ -352,3 +357,30 @@ def test_instance_rejects_non_finite(field, value):
 def test_instance_rejects_zero_scale(field):
     with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
         SlotInstance(**dict(_VALID_FIELDS, **{field: 0.0}))
+
+
+def test_instance_and_solution_are_immutable():
+    inst = SlotInstance(**_VALID_FIELDS)
+    assert inst.total_backlog == 7
+    solution = solve_slot(inst)
+    assert type(solution.allocation) is tuple
+    with pytest.raises(AttributeError):
+        inst.beta = 1.0
+    with pytest.raises(AttributeError):
+        solution.capacity = 0
+
+
+def test_replace_runs_the_instance_checks():
+    inst = SlotInstance(**_VALID_FIELDS)
+    assert inst._replace(beta=2.0) == SlotInstance(**dict(_VALID_FIELDS, beta=2.0))
+    with pytest.raises(ValueError, match="beta must be finite"):
+        inst._replace(beta=math.nan)
+
+
+def test_decide_returns_a_list_allocation():
+    # the engine writes the allocation into the trace and the queue update; the solver's is a tuple
+    state = SystemState([3, 4], [2.0, 1.0], 0.5)
+    for name in ("proposed", "cpa-static"):
+        policy = build_policy(name, 1.0, 36.0, [1.0])
+        _, allocation, _ = decide(policy, state, float(policy.power_cap[0]), 1.0, 1e4, ETA, 0.8)
+        assert type(allocation) is list
