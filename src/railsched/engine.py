@@ -121,41 +121,61 @@ def run(
     backlog_sum = [0] * num_services
     drop_sum = [0] * num_services
 
-    for t in range(horizon):
-        power, allocation, capacity = decide(policy, state, power_cap_at[t], noise_at[t], cap_at[t], eta, omega)
-        served = sum(allocation)
+    # Trace rows gather in two flat lists, copied into the arrays once per chunk.
+    for start in range(0, horizon, _RECORD_CHUNK_SLOTS):
+        floats, ints = [], []
+        for t in range(start, min(start + _RECORD_CHUNK_SLOTS, horizon)):
+            power, allocation, capacity = decide(policy, state, power_cap_at[t], noise_at[t], cap_at[t], eta, omega)
+            served = sum(allocation)
 
-        if power > power_limit:
-            raise RuntimeError(f"slot {t}: power {power} exceeds the {radio.max_power} W cap")
-        if served > capacity:
-            raise RuntimeError(f"slot {t}: served {served} exceeds link capacity {capacity}")
+            if power > power_limit:
+                raise RuntimeError(f"slot {t}: power {power} exceeds the {radio.max_power} W cap")
+            if served > capacity:
+                raise RuntimeError(f"slot {t}: served {served} exceeds link capacity {capacity}")
 
-        if record_trace:
-            trace.power[t] = power
-            trace.capacity[t] = capacity
-            trace.served[t] = served
-            trace.allocation[t] = allocation
-            trace.queues[t] = state.queues
-            trace.virtual_delay[t] = state.virtual_delay
-            trace.virtual_power[t] = state.virtual_power
-
-        power_sum += power
-        backlog_sum = list(map(add, backlog_sum, state.queues))
-
-        drops = update_real_queue(state, allocation, arrivals_all[t].tolist(), traffic)
-        update_virtual_delay(state, traffic)
-        update_virtual_power(state, power, traffic)
-
-        # Drops are rare; the trace column is already zero-filled.
-        if any(drops):
-            drop_sum = [s + d for s, d in zip(drop_sum, drops)]
             if record_trace:
-                trace.drops[t] = sum(drops)
+                floats += (power, state.virtual_power, *state.virtual_delay)
+                ints += (capacity, served, *allocation, *state.queues)
+
+            power_sum += power
+            backlog_sum = list(map(add, backlog_sum, state.queues))
+
+            drops = update_real_queue(state, allocation, arrivals_all[t].tolist(), traffic)
+            update_virtual_delay(state, traffic)
+            update_virtual_power(state, power, traffic)
+
+            # Drops are rare; the trace column is already zero-filled.
+            if any(drops):
+                drop_sum = [s + d for s, d in zip(drop_sum, drops)]
+                if record_trace:
+                    trace.drops[t] = sum(drops)
+        if record_trace:
+            _record(trace, start, floats, ints)
 
     # Admitted packets are the arrivals less the drops: exact integer column sums.
     admitted_sum = [a - d for a, d in zip(arrivals_all.sum(axis=0).tolist(), drop_sum)]
     summary = _summary_from_totals(power_sum, backlog_sum, admitted_sum, drop_sum, horizon, traffic)
     return trace, summary
+
+
+# Slots whose trace rows are held as Python lists before they are copied into
+# the trace arrays; bounds the memory they take.
+_RECORD_CHUNK_SLOTS = 1024
+
+
+def _record(trace: Trace, start: int, floats: list[float], ints: list[int]) -> None:
+    """Copy recorded rows into `trace` from slot `start` on.
+
+    Each slot adds P, Y and X_1..X_K to `floats` and C, served, mu_1..mu_K
+    and Q_1..Q_K to `ints`.
+    """
+    k = trace.num_services
+    f = np.array(floats, dtype=np.float64).reshape(-1, 2 + k)
+    i = np.array(ints, dtype=np.int64).reshape(-1, 2 + 2 * k)
+    rows = slice(start, start + len(f))
+    trace.power[rows], trace.virtual_power[rows], trace.virtual_delay[rows] = f[:, 0], f[:, 1], f[:, 2:]
+    trace.capacity[rows], trace.served[rows] = i[:, 0], i[:, 1]
+    trace.allocation[rows], trace.queues[rows] = i[:, 2 : 2 + k], i[:, 2 + k :]
 
 
 def _summary_from_totals(power_sum, backlog_sum, admitted_sum, drop_sum, horizon, traffic) -> SimSummary:
@@ -198,7 +218,7 @@ def replay_check(trace: Trace, config: ScenarioConfig) -> None:
     """Verify every stored transition against the update equations, exactly.
 
     Raises AssertionError on the first slot whose successor row is not the
-    one the recursions produce.
+    one the recursions produce, or whose drop count is not its own overflow.
     """
     traffic = config.traffic
     lam_w = np.array([r * w for r, w in zip(traffic.arrival_rates, traffic.delay_bounds)])
@@ -208,8 +228,8 @@ def replay_check(trace: Trace, config: ScenarioConfig) -> None:
     _require(np.any(x_next != trace.virtual_delay[1:], axis=1), "delay virtual-queue replay mismatch")
     y_next = np.maximum(trace.virtual_power[:-1] - traffic.avg_power, 0.0) + trace.power[:-1]
     _require(y_next != trace.virtual_power[1:], "power virtual-queue replay mismatch")
-    drops = np.maximum(trace.queues[:-1] - trace.allocation[:-1] + trace.arrivals[:-1] - traffic.buffer_cap, 0).sum(axis=1)
-    _require(drops != trace.drops[:-1], "drop-count replay mismatch")
+    drops = np.maximum(trace.queues - trace.allocation + trace.arrivals - traffic.buffer_cap, 0).sum(axis=1)
+    _require(drops != trace.drops, "drop-count replay mismatch")
 
 
 def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:

@@ -51,14 +51,13 @@ _WRITE_CHUNK_ROWS = 2048
 def write_trace(trace: Trace, path: str | Path) -> None:
     schema = _trace_schema(trace.num_services)
     columns = [getattr(trace, name) if k is None else getattr(trace, name)[:, k] for _, name, _, k in schema]
-    # The text `_fmt` gives each value: integers in full, floats with 17 digits.
-    formats = [str if integer else "{:.17g}".format for _, _, integer, _ in schema]
+    # One row's text as `_fmt` gives each value: integers in full, floats with 17 digits.
+    row = ",".join("%d" if integer else "%.17g" for _, _, integer, _ in schema) + "\n"
     with open(path, "w", encoding="utf-8") as out:
         out.write(",".join(trace_columns(trace.num_services)) + "\n")
         for start in range(0, len(trace), _WRITE_CHUNK_ROWS):
-            stop = start + _WRITE_CHUNK_ROWS
-            cells = [map(fmt, col[start:stop].tolist()) for fmt, col in zip(formats, columns)]
-            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            chunk = [col[start : start + _WRITE_CHUNK_ROWS].tolist() for col in columns]
+            out.write("".join(map(row.__mod__, zip(*chunk))))
 
 
 def read_trace(path: str | Path) -> Trace:

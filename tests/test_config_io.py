@@ -1,12 +1,16 @@
+import dataclasses
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railsched.cli import main
 from railsched.config import DEFAULTS, ConfigError, default_config, load_config, with_updates
-from railsched.engine import replay_check, run
-from railsched.traceio import _fmt, read_summary, read_trace, trace_columns, write_summary, write_trace
+from railsched.engine import Trace, replay_check, run
+from railsched.traceio import _fmt, _trace_schema, read_summary, read_trace, trace_columns, write_summary, write_trace
 
 
 class TestDefaults:
@@ -234,6 +238,18 @@ def test_cli_bad_ini_value_exits_1(tmp_path, capsys):
     assert "run.horizon" in capsys.readouterr().err
 
 
+def reference_trace_text(trace):
+    """The trace file text, formatting every value on its own with `_fmt`, row by row."""
+    lines = [",".join(trace_columns(trace.num_services))]
+    for t in range(len(trace)):
+        row = [trace.slot[t], trace.distance[t], trace.noise[t], trace.power[t], trace.capacity[t], trace.served[t]]
+        for k in range(trace.num_services):
+            row += [trace.arrivals[t, k], trace.allocation[t, k], trace.queues[t, k], trace.virtual_delay[t, k]]
+        row += [trace.virtual_power[t], trace.drops[t]]
+        lines.append(",".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="module")
 def short_run():
     config = with_updates(default_config(), horizon=300, seed=21)
@@ -251,20 +267,39 @@ class TestTraceRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
     def test_writer_matches_row_by_row_reference(self, tmp_path):
-        # Reference: format every value on its own, row by row; 2049 rows
-        # cross the writer's 2048-row chunk boundary.
-        config = with_updates(default_config(), horizon=2049, seed=5)
-        trace, _ = run(config, policy="wfpa-static")
+        # 2049 rows cross the writer's 2048-row chunk boundary; a 15-packet
+        # buffer drops packets; the edited run holds the float edge cases and
+        # int64 extremes; the empty trace has no rows.
+        trace, _ = run(with_updates(default_config(), horizon=2049, seed=5), policy="wfpa-static")
+        dropping, _ = run(with_updates(default_config(), horizon=300, seed=5, buffer_cap_pkts=15))
+        assert dropping.drops.any()
+        edited, _ = run(with_updates(default_config(), horizon=8, seed=5))
+        edited.power[:] = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -0.1, 1e16, 1.0]
+        edited.virtual_delay[:, 0] = edited.power[::-1]
+        edited.queues[3, 2] = np.iinfo(np.int64).max
+        edited.drops[-1] = np.iinfo(np.int64).min
+        empty = Trace(**{field.name: getattr(trace, field.name)[:0] for field in dataclasses.fields(Trace)})
         path = tmp_path / "t.csv"
+        for case in (trace, dropping, edited, empty):
+            write_trace(case, path)
+            assert path.read_text() == reference_trace_text(case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_writer_matches_reference_on_any_values(self, tmp_path_factory, data):
+        rows, k_count = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 3))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        whole = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+        fields = {}
+        for _, name, integer, k in _trace_schema(k_count):
+            shape = (rows,) if k is None else (rows, k_count)
+            if name not in fields:
+                values = data.draw(st.lists(whole if integer else finite, min_size=math.prod(shape), max_size=math.prod(shape)))
+                fields[name] = np.array(values, dtype=np.int64 if integer else np.float64).reshape(shape)
+        trace = Trace(**fields)
+        path = tmp_path_factory.getbasetemp() / "any_values.csv"
         write_trace(trace, path)
-        lines = [",".join(trace_columns(trace.num_services))]
-        for t in range(len(trace)):
-            row = [trace.slot[t], trace.distance[t], trace.noise[t], trace.power[t], trace.capacity[t], trace.served[t]]
-            for k in range(trace.num_services):
-                row += [trace.arrivals[t, k], trace.allocation[t, k], trace.queues[t, k], trace.virtual_delay[t, k]]
-            row += [trace.virtual_power[t], trace.drops[t]]
-            lines.append(",".join(_fmt(v) for v in row))
-        assert path.read_text() == "\n".join(lines) + "\n"
+        assert path.read_text() == reference_trace_text(trace)
 
     def test_column_schema(self, short_run):
         _, trace, _ = short_run

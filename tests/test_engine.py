@@ -7,7 +7,7 @@ import pytest
 from railsched.config import default_config, load_config, with_updates
 from railsched.engine import Trace, audit_decisions, replay_check, run, summarize
 from railsched.policies import POLICY_NAMES
-from railsched.traceio import write_summary, write_trace
+from railsched.traceio import _trace_schema, write_summary, write_trace
 
 BASE = default_config()
 
@@ -67,6 +67,22 @@ class TestRun:
         _, summary_nostore = run(config, record_trace=False)
         assert summary_stream == summary_nostore
         assert summarize(trace, config) == summary_stream
+
+    def test_recorded_trace_arrays(self):
+        # Tests edit trace arrays in place, so each keeps the schema's dtype, a
+        # (T,) or (T, K) shape, C order and write access.  2500 slots span
+        # several recording chunks; a 15-packet buffer drops packets.
+        for config in (small_config(horizon=2500), small_config(horizon=2500, buffer_cap_pkts=15)):
+            trace, _ = run(config)
+            _, untraced = run(config, record_trace=False)
+            horizon, k_count = config.horizon, config.traffic.num_services
+            for _, name, integer, k in _trace_schema(k_count):
+                array = getattr(trace, name)
+                assert array.dtype == (np.int64 if integer else np.float64), name
+                assert array.shape == ((horizon,) if k is None else (horizon, k_count)), name
+                assert array.flags.c_contiguous and array.flags.writeable, name
+            assert repr(summarize(trace, config)) == repr(untraced)
+        assert sum(untraced.total_drops) > 0
 
     def test_state_rows_are_slot_start(self):
         config = small_config(horizon=50)
@@ -193,11 +209,12 @@ def test_replay_detects_tampering():
         ("virtual_delay", (30, 2), 29, "delay virtual-queue"),
         ("virtual_power", 30, 29, "power virtual-queue"),
         ("drops", 30, 30, "drop-count"),
+        ("drops", -1, 59, "drop-count"),
     ],
 )
 def test_replay_names_tampered_slot(column, index, slot, check):
     # Q, X and Y are slot-start rows, so a bad row 30 is slot 29's successor;
-    # the drop count is slot 30's own
+    # the drop count is the row's own, the last row's included
     config = small_config(horizon=60)
     trace, _ = run(config)
     getattr(trace, column)[index] += 1
