@@ -1,45 +1,53 @@
 #!/usr/bin/env python3
 """Per-slot dynamics over one cell period for all five policies.
 
-Runs each policy for a few cell periods at the default scenario, writes one
-fig3-style file per policy (slot, power, link capacity, mean backlog) over
-the last simulated period, whose queues no longer start empty, plus the full
-trace of the proposed policy for closer inspection.
+For each policy, runs `railsched run` for a few cell periods of the default
+scenario, then `railsched plotdata --figure fig3` over the last simulated
+period, whose queues no longer start empty. Keeps fig3_<policy>.csv (slot,
+power, link capacity, mean backlog) and summary_<policy>.txt for every
+policy, plus the full trace of the proposed policy as trace_proposed.csv.
 
-Usage: python scripts/make_cell_period_data.py [--out DIR] [--seed N] [--periods N]
+Usage: python scripts/make_cell_period_data.py [--out DIR] [--periods N] [--seed N]
+
+--seed goes to each run, which checks it; any other flag is a usage error. The
+script stops at the first command that fails and exits with its code.
 """
 
-import argparse
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from railsched import default_config, emit_plotdata, run, with_updates
-from railsched.cli import _whole
+from railsched import cli, default_config
 from railsched.policies import POLICY_NAMES
-from railsched.traceio import write_summary, write_trace
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    base, parser = default_config(), cli._Parser(description=__doc__)  # a malformed flag is a config error, exit 1
     parser.add_argument("--out", type=Path, default=Path("results/cell_period"))
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--periods", type=_whole(1), default=3, help="cell periods to simulate")
-    args = parser.parse_args()
-    args.out.mkdir(parents=True, exist_ok=True)
-
-    base = default_config()
-    config = with_updates(base, horizon=args.periods * base.geometry.period_slots, seed=args.seed)
-    last_period = (args.periods - 1) * base.geometry.period_slots
-    for name in sorted(POLICY_NAMES):
-        trace, summary = run(config, policy=name)
-        emit_plotdata(trace, "fig3", args.out / f"fig3_{name}.csv", config=config, window_start=last_period)
-        write_summary(summary, args.out / f"summary_{name}.txt")
-        print(f"{name:13s} Pbar {summary.avg_power:8.4f} W   mean Wbar {sum(summary.avg_delay) / len(summary.avg_delay):7.4f} slots")
-        if name == "proposed":
-            write_trace(trace, args.out / "trace_proposed.csv")
-    print(f"wrote {args.out}/fig3_<policy>.csv")
+    parser.add_argument("--periods", type=cli._whole(1), default=3, help="cell periods to simulate")
+    parser.add_argument("--seed", default=str(base.seed), help="passed to railsched run")
+    try:
+        args = parser.parse_args()
+    except cli.ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return cli.EXIT_CONFIG
+    horizon, window_start = (str(n * base.geometry.period_slots) for n in (args.periods, args.periods - 1))
+    with tempfile.TemporaryDirectory() as tmp:  # the CLI's fixed file names stay out of --out
+        work = Path(tmp)
+        for name in sorted(POLICY_NAMES):
+            code = cli.main(["run", "--policy", name, "--horizon", horizon, "--seed", args.seed, "--out", tmp]) or cli.main(
+                ["plotdata", "--figure", "fig3", "--source", str(work / "trace.csv"), "--window-start", window_start, "--out", tmp]
+            )
+            if code:
+                return code
+            args.out.mkdir(parents=True, exist_ok=True)
+            shutil.move(work / "fig3.csv", args.out / f"fig3_{name}.csv")
+            shutil.move(work / "summary.txt", args.out / f"summary_{name}.txt")
+            if name == "proposed":
+                shutil.move(work / "trace.csv", args.out / "trace_proposed.csv")
     return 0
 
 

@@ -50,8 +50,8 @@ def _whole(low: int):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="scenario file (INI); defaults built in")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--horizon", type=int, default=None, help="slots to simulate")
+    parser.add_argument("--seed", type=_whole(0), default=None)
+    parser.add_argument("--horizon", type=_whole(1), default=None, help="slots to simulate")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 

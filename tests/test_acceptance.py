@@ -8,20 +8,26 @@ import itertools
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from railsched.channel import distance_profile, noise_profile
-from railsched.config import default_config, with_updates
+from railsched.cli import main
+from railsched.config import default_config, load_config, with_updates
 from railsched.engine import audit_decisions, replay_check, run
 from railsched.selftest import noise_equiv, objective_value
 from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, solve_slot
-from railsched.sweep import SweepSpec, run_sweep
+from railsched.sweep import SweepSpec, read_sweep, run_sweep
 from railsched.traceio import write_trace
 
 SEEDS = (1, 2, 3)
 HORIZON = 300_000
+
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
+SWEEPS = {fig: flags for fig, *flags in (line.split() for line in (EXPERIMENTS / "sweeps.txt").read_text().splitlines() if line.strip() and line[0] != "#")}
+COMPARED = tuple(SWEEPS["fig4"][SWEEPS["fig4"].index("--policies") + 1].split(","))
 
 _timings: dict[str, float] = {}
 
@@ -176,7 +182,7 @@ def _load_powers(config):
 
 @pytest.fixture(scope="module")
 def policy_comparison_table():
-    """Rate 25, cap 100 W, budget midway between L and E: proposed vs the capped dynamic baselines, 3 seeds.
+    """fig4's scenario at rate 25, budget midway between L and E: fig4's policies, 3 seeds.
 
     With a budget above the edge power E no per-slot cap binds, so the
     dynamic baselines solve exactly what the proposed policy solves and no
@@ -184,16 +190,11 @@ def policy_comparison_table():
     carry the load.  Between them both profile caps bind near the cell
     edge, which is the regime the comparison is about.
     """
-    config = with_updates(default_config(), horizon=HORIZON, arrival_rate_pkts=25.0, max_power_w=100.0)
+    config = load_config(EXPERIMENTS / "fig4.ini", horizon=HORIZON, arrival_rate_pkts=25.0)
     tracking, edge = _load_powers(config)
     config = with_updates(config, avg_power_w=0.5 * (tracking + edge))
     assert tracking < config.traffic.avg_power < edge, (tracking, config.traffic.avg_power, edge)
-    spec = SweepSpec(
-        parameter="lambda",
-        values=(25.0,),
-        policies=("proposed", "wfpa-dynamic", "cpa-dynamic"),
-        replications=len(SEEDS),
-    )
+    spec = SweepSpec(parameter="lambda", values=(25.0,), policies=COMPARED, replications=len(SEEDS))
     start = time.perf_counter()
     table = run_sweep(spec, config, workers=2)
     _timings["policy comparison sweep"] = time.perf_counter() - start
@@ -201,22 +202,21 @@ def policy_comparison_table():
     return tracking, edge, config.traffic.avg_power, table
 
 
-@pytest.fixture(scope="module")
-def omega_sweep_table():
-    config = with_updates(default_config(), horizon=HORIZON, arrival_rate_pkts=23.0, max_power_w=100.0)
-    spec = SweepSpec(parameter="omega", values=(0.2, 0.4, 0.6, 0.8, 1.0, 1.2), policies=("proposed",))
-    table = run_sweep(spec, config, workers=2)
-    assert not table.failures, [r.error for r in table.failures]
-    return table
+def _paper_sweep(figure, tmp_path_factory):
+    """`railsched sweep` of experiments/<figure>.ini with its sweeps.txt flags at the gate's horizon; 0 means no failed cell."""
+    out, config = tmp_path_factory.mktemp(figure), str(EXPERIMENTS / f"{figure}.ini")
+    assert main(["sweep", "--config", config, *SWEEPS[figure], "--horizon", str(HORIZON), "--workers", "2", "--out", str(out)]) == 0
+    return read_sweep(out / "sweep.csv")
 
 
 @pytest.fixture(scope="module")
-def pmax_sweep_table():
-    config = with_updates(default_config(), horizon=HORIZON, arrival_rate_pkts=23.0, omega=0.6)
-    spec = SweepSpec(parameter="pmax", values=(40.0, 60.0, 80.0, 100.0), policies=("proposed",))
-    table = run_sweep(spec, config, workers=2)
-    assert not table.failures, [r.error for r in table.failures]
-    return table
+def omega_sweep_table(tmp_path_factory):
+    return _paper_sweep("fig5", tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def pmax_sweep_table(tmp_path_factory):
+    return _paper_sweep("fig6", tmp_path_factory)
 
 
 def test_criterion_4_constraints_hold(baseline_runs):
@@ -301,7 +301,7 @@ def test_criterion_7_policy_ordering(policy_comparison_table):
     # meet both constraints, so the win is not bought with extra power.
     tracking, edge, budget, table = policy_comparison_table
     wbar, pbar = {}, {}
-    for policy in ("proposed", "wfpa-dynamic", "cpa-dynamic"):
+    for policy in COMPARED:
         rows = [r for r in table.rows if r.policy == policy]
         assert len(rows) == len(SEEDS)
         wbar[policy] = float(np.mean([r.mean_delay for r in rows]))

@@ -404,7 +404,17 @@ class TestCli:
         assert rows[0].error.startswith("traffic: ")
 
     @pytest.mark.parametrize(
-        "flag, value", [("--values", "abc"), ("--reps", "0"), ("--param", "bogus"), ("--seed", "x"), ("--workers", "0"), ("--workers", "-3")]
+        "flag, value",
+        [
+            ("--values", "abc"),
+            ("--reps", "0"),
+            ("--param", "bogus"),
+            ("--seed", "x"),
+            ("--seed", "-1"),
+            ("--horizon", "0"),
+            ("--workers", "0"),
+            ("--workers", "-3"),
+        ],
     )
     def test_malformed_command_line_exit_code(self, tmp_path, capsys, flag, value):
         argv = ["sweep", "--horizon", "120", "--param", "omega", "--values", "0.8", "--out", str(tmp_path), flag, value]
