@@ -42,12 +42,6 @@ class Geometry:
     speed: float  # v, meters/second
     slot_duration: float  # Ts, seconds
 
-    def __post_init__(self) -> None:
-        # NaN fails the chained comparison, so it is rejected with infinities.
-        for name in ("cell_radius", "rail_offset", "speed", "slot_duration"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"Geometry.{name} must be finite and positive, got {getattr(self, name)}")
-
     @property
     def max_distance(self) -> float:
         """Largest BS-receiver distance, reached midway between adjacent base stations."""
@@ -61,12 +55,7 @@ class Geometry:
 
 @dataclass(frozen=True)
 class RadioParams:
-    """Link-budget constants.
-
-    The physical range checks (alpha >= 2, max_power > 0) are enforced at
-    config load; the dataclass itself stays permissive so degenerate values
-    (alpha = 0, max_power = 0) remain constructible in tests.
-    """
+    """Link-budget constants."""
 
     bandwidth: float  # B, Hz
     noise_psd: float  # N0, W/Hz
@@ -74,17 +63,6 @@ class RadioParams:
     packet_bits: float  # L
     eta: float  # L / (Ts * B)
     max_power: float  # instantaneous power cap, W
-
-    def __post_init__(self) -> None:
-        # NaN fails the chained comparisons, so it is rejected with infinities.
-        for name in ("bandwidth", "noise_psd", "packet_bits", "eta"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"RadioParams.{name} must be finite and positive, got {getattr(self, name)}")
-        if not 0.0 <= self.pathloss_exp < math.inf:
-            raise ValueError(f"RadioParams.pathloss_exp must be finite and non-negative, got {self.pathloss_exp}")
-        # A NaN or infinite cap is the config validator's to reject, by its config key.
-        if self.max_power < 0:
-            raise ValueError("RadioParams.max_power must be non-negative")
 
 
 def distance_profile(num_slots: int, geom: Geometry) -> np.ndarray:

@@ -5,9 +5,15 @@ Config files are plain INI (key = value under [geometry], [radio],
 default simulation setup below.  Noise density is given in dBm/Hz and speed
 in km/h as usually quoted; both are converted to SI once at load and all
 internal arithmetic stays in W, m, s.  Every config is built one way: key
-values, named bare or as `section.key`, go through `_build`, which converts
-each key once, names `section.key` on a bad value, and keeps the typed
-values so `with_updates` can override keys and build again.
+values, named bare or as `section.key`, go through `_build`, which keeps the
+typed values so `with_updates` can override keys and build again.
+
+Every rule a config must meet is checked in `_build`, and every error
+about a value begins with the `section.key` it is about.  The allowed range
+of each key is stated once, in `_RULES`; besides it `_build` checks only
+the SI values derived from keys and the three rules that span keys
+(per-service lengths, avg_power_w <= max_power_w, the policy name).  The
+records it builds check nothing themselves.
 """
 
 from __future__ import annotations
@@ -63,9 +69,33 @@ DEFAULTS = {
 # comma string or a sequence must have num_services entries.
 _PER_SERVICE = ("arrival_rate_pkts", "delay_bound_slots")
 
+# The allowed range of every key but run.policy (checked against the policy
+# names): the lowest allowed value, whether that value itself is allowed, and
+# the rule as an error states it.  Every value must also be finite, and a
+# per-service key's rule holds for each service.
+_RULES = {
+    "geometry.cell_radius_m": (0.0, False, "finite and positive"),
+    "geometry.rail_offset_m": (0.0, False, "finite and positive"),
+    "geometry.speed_kmh": (0.0, False, "finite and positive"),
+    "geometry.slot_duration_s": (0.0, False, "finite and positive"),
+    "radio.bandwidth_hz": (0.0, False, "finite and positive"),
+    "radio.noise_psd_dbm_hz": (-math.inf, False, "finite"),
+    "radio.pathloss_exp": (2.0, True, "finite and >= 2"),
+    "radio.packet_bits": (0.0, False, "finite and positive"),
+    "radio.max_power_w": (0.0, False, "finite and positive"),
+    "traffic.num_services": (1, True, ">= 1"),
+    "traffic.arrival_rate_pkts": (0.0, True, "finite and non-negative"),
+    "traffic.delay_bound_slots": (0.0, False, "finite and positive"),
+    "traffic.avg_power_w": (0.0, False, "finite and positive"),
+    "traffic.buffer_cap_pkts": (1, True, ">= 1"),
+    "control.omega": (0.0, True, "finite and non-negative"),
+    "run.horizon": (1, True, ">= 1"),
+    "run.seed": (0, True, ">= 0"),
+}
+
 
 class ConfigError(Exception):
-    """Invalid or inconsistent configuration; message names the offending field."""
+    """Invalid or inconsistent configuration; the message begins with the offending `section.key`."""
 
 
 @dataclass(frozen=True)
@@ -103,40 +133,33 @@ def _convert(section: str, key: str, raw):
 
 def _build(raw_values: dict) -> ScenarioConfig:
     values = {section: {key: _convert(section, key, raw) for key, raw in keys.items()} for section, keys in raw_values.items()}
-    geo, rad, tra = values["geometry"], values["radio"], values["traffic"]
+    geo, rad, tra, run = values["geometry"], values["radio"], values["traffic"], values["run"]
 
-    try:
-        geometry = Geometry(
-            cell_radius=geo["cell_radius_m"],
-            rail_offset=geo["rail_offset_m"],
-            speed=geo["speed_kmh"] / 3.6,
-            slot_duration=geo["slot_duration_s"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from None
+    # Chained comparisons are False for NaN, so each rule rejects it too.
+    for name, (low, inclusive, rule) in _RULES.items():
+        section, key = name.split(".")
+        value = values[section][key]
+        for v in value if isinstance(value, tuple) else (value,):
+            if not (low <= v < math.inf if inclusive else low < v < math.inf):
+                raise ConfigError(f"{name} must be {rule}, got {v}")
 
-    bandwidth, packet_bits, pathloss = rad["bandwidth_hz"], rad["packet_bits"], rad["pathloss_exp"]
-    if bandwidth <= 0:
-        raise ConfigError("radio.bandwidth_hz must be positive")
-    if packet_bits <= 0:
-        raise ConfigError("radio.packet_bits must be positive")
-    if pathloss < 2.0:
-        raise ConfigError(f"radio.pathloss_exp must be >= 2, got {pathloss}")
+    # The SI values derived from keys can still overflow, underflow or divide by zero.
     try:
-        radio = RadioParams(
-            bandwidth=bandwidth,
-            noise_psd=10.0 ** (rad["noise_psd_dbm_hz"] / 10.0) / 1000.0,
-            pathloss_exp=pathloss,
-            packet_bits=packet_bits,
-            eta=packet_bits / (geometry.slot_duration * bandwidth),
-            max_power=rad["max_power_w"],
-        )
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"radio: {exc}") from None
+        noise_psd = 10.0 ** (rad["noise_psd_dbm_hz"] / 10.0) / 1000.0
+    except OverflowError:
+        noise_psd = math.inf
+    slot_hz = geo["slot_duration_s"] * rad["bandwidth_hz"]
+    eta = rad["packet_bits"] / slot_hz if slot_hz > 0.0 else math.inf
+    speed = geo["speed_kmh"] / 3.6
+    for name, value in (
+        ("radio.noise_psd_dbm_hz gives N0", noise_psd),
+        ("radio.packet_bits / (geometry.slot_duration_s * radio.bandwidth_hz) gives eta", eta),
+        ("geometry.speed_kmh gives v", speed),
+    ):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} = {value}, which must be finite and positive")
 
     num_services = tra["num_services"]
-    if num_services < 1:
-        raise ConfigError("traffic.num_services must be >= 1")
     per_service = {}
     for key in _PER_SERVICE:
         value = tra[key]
@@ -145,34 +168,16 @@ def _build(raw_values: dict) -> ScenarioConfig:
         elif len(value) != num_services:
             raise ConfigError(f"traffic.{key}: expected {num_services} values, one per service, got {len(value)}")
         per_service[key] = value
-    try:
-        traffic = TrafficParams(
-            arrival_rates=per_service["arrival_rate_pkts"],
-            delay_bounds=per_service["delay_bound_slots"],
-            avg_power=tra["avg_power_w"],
-            buffer_cap=tra["buffer_cap_pkts"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"traffic: {exc}") from None
-
-    # The checks that span fields or that the field types do not make.
-    # Chained comparisons are False for NaN, so each check rejects it too.
-    max_power, avg_power = radio.max_power, traffic.avg_power
-    run = values["run"]
-    omega, horizon, seed, policy = values["control"]["omega"], run["horizon"], run["seed"], run["policy"]
-    if not 0.0 < max_power < math.inf:
-        raise ConfigError(f"radio.max_power_w must be finite and positive, got {max_power}")
-    if not avg_power <= max_power:
+    avg_power, max_power = tra["avg_power_w"], rad["max_power_w"]
+    if avg_power > max_power:
         raise ConfigError(f"traffic.avg_power_w = {avg_power} exceeds radio.max_power_w = {max_power}")
-    if not 0.0 <= omega < math.inf:
-        raise ConfigError(f"control.omega must be finite and non-negative, got {omega}")
-    if horizon < 1:
-        raise ConfigError(f"run.horizon must be >= 1, got {horizon}")
-    if seed < 0:
-        raise ConfigError(f"run.seed must be >= 0, got {seed}")
-    if policy not in POLICY_NAMES:
-        raise ConfigError(f"run.policy {policy!r} not one of {sorted(POLICY_NAMES)}")
-    return ScenarioConfig(geometry, radio, traffic, omega, horizon, seed, policy, values)
+    if run["policy"] not in POLICY_NAMES:
+        raise ConfigError(f"run.policy {run['policy']!r} not one of {sorted(POLICY_NAMES)}")
+
+    geometry = Geometry(geo["cell_radius_m"], geo["rail_offset_m"], speed, geo["slot_duration_s"])
+    radio = RadioParams(rad["bandwidth_hz"], noise_psd, rad["pathloss_exp"], rad["packet_bits"], eta, max_power)
+    traffic = TrafficParams(per_service["arrival_rate_pkts"], per_service["delay_bound_slots"], avg_power, tra["buffer_cap_pkts"])
+    return ScenarioConfig(geometry, radio, traffic, values["control"]["omega"], run["horizon"], run["seed"], run["policy"], values)
 
 
 def _apply_override(values: dict, name: str, value) -> None:

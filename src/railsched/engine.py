@@ -121,10 +121,12 @@ def run(
     backlog_sum = [0] * num_services
     drop_sum = [0] * num_services
 
-    # Trace rows gather in two flat lists, copied into the arrays once per chunk.
+    # Trace rows gather in two flat lists, copied into the arrays once per
+    # chunk; the chunk's arrivals are converted to Python lists once.
     for start in range(0, horizon, _RECORD_CHUNK_SLOTS):
-        floats, ints = [], []
-        for t in range(start, min(start + _RECORD_CHUNK_SLOTS, horizon)):
+        stop = min(start + _RECORD_CHUNK_SLOTS, horizon)
+        floats, ints, arrivals = [], [], arrivals_all[start:stop].tolist()
+        for t in range(start, stop):
             power, allocation, capacity = decide(policy, state, power_cap_at[t], noise_at[t], cap_at[t], eta, omega)
             served = sum(allocation)
 
@@ -140,7 +142,7 @@ def run(
             power_sum += power
             backlog_sum = list(map(add, backlog_sum, state.queues))
 
-            drops = update_real_queue(state, allocation, arrivals_all[t].tolist(), traffic)
+            drops = update_real_queue(state, allocation, arrivals[t - start], traffic)
             update_virtual_delay(state, traffic)
             update_virtual_power(state, power, traffic)
 
@@ -158,8 +160,8 @@ def run(
     return trace, summary
 
 
-# Slots whose trace rows are held as Python lists before they are copied into
-# the trace arrays; bounds the memory they take.
+# Slots whose arrivals and trace rows are held as Python lists at a time;
+# bounds the memory they take.
 _RECORD_CHUNK_SLOTS = 1024
 
 

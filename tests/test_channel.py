@@ -158,17 +158,3 @@ def test_channel_sample_consistent():
     assert distances[t] == pytest.approx(distance_at(t, GEOM), rel=1e-12)
     assert noises[t] == pytest.approx(noise_equiv(distance_at(t, GEOM), RADIO), rel=1e-12)
     assert caps[t] == pytest.approx(capacity_cap(RADIO, float(noises[t])), rel=1e-12)
-
-
-def test_geometry_validation():
-    with pytest.raises(ValueError):
-        Geometry(cell_radius=-1.0, rail_offset=50.0, speed=100.0, slot_duration=1e-3)
-    with pytest.raises(ValueError):
-        Geometry(cell_radius=1500.0, rail_offset=0.0, speed=100.0, slot_duration=1e-3)
-
-
-def test_radio_validation():
-    with pytest.raises(ValueError):
-        RadioParams(0.0, 1e-20, 4.0, 240.0, 0.048, 50.0)
-    with pytest.raises(ValueError):
-        RadioParams(5e6, 1e-20, 4.0, 240.0, -0.048, 50.0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from railsched.cli import main
-from railsched.config import DEFAULTS, ConfigError, default_config, load_config, with_updates
+from railsched.config import _RULES, DEFAULTS, ConfigError, default_config, load_config, with_updates
 from railsched.engine import Trace, replay_check, run
 from railsched.traceio import _fmt, _trace_schema, read_summary, read_trace, trace_columns, write_summary, write_trace
 
@@ -154,10 +154,11 @@ class TestValidation:
     def test_avg_power_above_cap(self):
         with pytest.raises(ConfigError, match=r"traffic\.avg_power_w = 60.0 exceeds radio\.max_power_w = 50.0"):
             with_updates(default_config(), avg_power_w=60.0)
-        with pytest.raises(ConfigError, match=r"traffic\.avg_power_w = nan exceeds"):
+        # a NaN budget breaks the key's own rule before the cross-key check
+        with pytest.raises(ConfigError, match=r"^traffic\.avg_power_w must be finite and positive, got nan"):
             with_updates(default_config(), avg_power_w=float("nan"))
 
-    # the ids keep the quantity names these cases have always been reported under
+    # the first ids keep the quantity names these cases have always been reported under
     @pytest.mark.parametrize(
         "field, value, section",
         [
@@ -165,12 +166,34 @@ class TestValidation:
             pytest.param("delay_bound_slots", 0.0, "traffic", id="delay_bound-0.0-traffic"),
             pytest.param("avg_power_w", -1.0, "traffic", id="avg_power--1.0-traffic"),
             pytest.param("max_power_w", -1.0, "radio", id="max_power--1.0-radio"),
+            pytest.param("cell_radius_m", -1.0, "geometry", id="cell_radius_m--1.0-geometry"),
+            pytest.param("rail_offset_m", 0.0, "geometry", id="rail_offset_m-0.0-geometry"),
+            pytest.param("speed_kmh", -1.0, "geometry", id="speed_kmh--1.0-geometry"),
+            pytest.param("bandwidth_hz", 0.0, "radio", id="bandwidth_hz-0.0-radio"),
+            pytest.param("packet_bits", -240.0, "radio", id="packet_bits--240.0-radio"),
+            pytest.param("num_services", 0, "traffic", id="num_services-0-traffic"),
+            pytest.param("arrival_rate_pkts", [20.0] * 5, "traffic", id="arrival_rate_pkts-5_of_6-traffic"),
+            pytest.param("arrival_rate_pkts", "20, -1, 20, 20, 20, 20", "traffic", id="arrival_rate_pkts-one_negative-traffic"),
+            pytest.param("avg_power_w", 0.0, "traffic", id="avg_power_w-0.0-traffic"),
         ],
     )
     def test_bad_field_value(self, field, value, section):
-        # the dataclass checks surface as a ConfigError naming the section, as on load
-        with pytest.raises(ConfigError, match=rf"^{section}: "):
+        pattern = rf"^{section}\.{field}"
+        with pytest.raises(ConfigError, match=pattern):
             with_updates(default_config(), **{field: value})
+        with pytest.raises(ConfigError, match=pattern):
+            load_config(**{f"{section}.{field}": value})
+
+    @pytest.mark.parametrize("name", list(_RULES))
+    def test_every_rule_names_its_key(self, name):
+        low, inclusive, rule = _RULES[name]
+        value = low - 1 if inclusive else low
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be {re.escape(rule)}, got {re.escape(str(value))}$"):
+            load_config(**{name: value})
+
+    def test_rules_cover_every_key(self):
+        # a key added to DEFAULTS cannot skip its rule; the policy is checked by name
+        assert set(_RULES) == {f"{section}.{key}" for section, keys in DEFAULTS.items() for key in keys} - {"run.policy"}
 
     @pytest.mark.parametrize("max_power", [0.0, float("nan"), float("inf")])
     def test_bad_max_power(self, max_power):
@@ -199,8 +222,7 @@ class TestValidation:
     def test_non_finite_field_rejected(self, key, value):
         # `x < 0` and `x <= 0` let NaN through: a NaN rate once loaded and
         # died mid-run, and a NaN delay bound ran to the end as "missed"
-        section = key.split(".")[0]
-        with pytest.raises(ConfigError, match=rf"^{section}[.:]"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite"):
             load_config(**{key: value})
 
     @pytest.mark.parametrize("key", [f"{section}.{key}" for section, keys in DEFAULTS.items() for key in keys])
@@ -232,10 +254,26 @@ class TestValidation:
 
 
 def test_cli_bad_ini_value_exits_1(tmp_path, capsys):
+    # a malformed value, then values in range whose derived SI value
+    # overflows, underflows or divides by zero
+    eta = "radio.packet_bits / (geometry.slot_duration_s * radio.bandwidth_hz) gives eta"
+    cases = [
+        ("[run]\nhorizon = abc\n", "run.horizon: expected a whole number"),
+        ("[radio]\nnoise_psd_dbm_hz = 4000\n", "radio.noise_psd_dbm_hz gives N0 = inf,"),
+        ("[radio]\nnoise_psd_dbm_hz = -4000\n", "radio.noise_psd_dbm_hz gives N0 = 0.0,"),
+        ("[geometry]\nslot_duration_s = 1e-300\n[radio]\nbandwidth_hz = 1e-300\n", f"{eta} = inf,"),
+        ("[geometry]\nslot_duration_s = 1e300\n[radio]\nbandwidth_hz = 1e300\n", f"{eta} = 0.0,"),
+        ("[geometry]\nspeed_kmh = 5e-324\n", "geometry.speed_kmh gives v = 0.0,"),
+    ]
     path = tmp_path / "bad.ini"
-    path.write_text("[run]\nhorizon = abc\n")
-    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
-    assert "run.horizon" in capsys.readouterr().err
+    for text, message in cases:
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            load_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        # one line, no traceback
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
 
 
 def reference_trace_text(trace):

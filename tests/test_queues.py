@@ -7,6 +7,7 @@ from railsched.queues import (
     ArrivalProcess,
     SystemState,
     TrafficParams,
+    _cdf_table,
     update_real_queue,
     update_virtual_delay,
     update_virtual_power,
@@ -40,11 +41,23 @@ class TestArrivals:
         # (seed, k) stream, inverted one at a time by the sequential search.
         proc = ArrivalProcess((20.0, 3.0, 45.0), master_seed=9)
         block = proc.sample_horizon(200)
-        for k, (n_chunks, chunk_rate, table) in enumerate(proc._chunks):
+        for k, (n_chunks, table) in enumerate(proc._chunks):
             stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9, spawn_key=(k,))))
             for t in range(200):
-                expected = sum(proc._invert(stream.random(), chunk_rate, table) for _ in range(n_chunks))
+                expected = sum(proc._invert(stream.random(), table) for _ in range(n_chunks))
                 assert block[t, k] == expected
+
+    @pytest.mark.parametrize("rate", [17.0, 23.0, 28.340553333333332])
+    def test_largest_draw_has_a_count(self, rate):
+        # These tables' running sums stop growing below 1 - 2**-53, the largest
+        # draw, which once sent the draw into an endless tail search.
+        table = _cdf_table(rate)
+        assert table[-1] == 1.0
+        assert ArrivalProcess._invert(1.0 - 2.0**-53, table) == len(table) - 1
+        assert np.searchsorted(table, 1.0 - 2.0**-53, side="left") == len(table) - 1
+
+    def test_every_table_ends_at_one(self):
+        assert all(_cdf_table(rate)[-1] == 1.0 for rate in np.linspace(0.01, 30.0, 3000).tolist())
 
     def test_rate_20_moments(self):
         # Law-of-large-numbers band on the implemented sampler itself.
@@ -190,14 +203,3 @@ def test_all_zero_stays_zero():
     assert state.queues == [0, 0]
     assert state.virtual_delay == [0.0, 0.0]
     assert state.virtual_power == 0.0
-
-
-def test_traffic_params_validation():
-    with pytest.raises(ValueError):
-        TrafficParams(arrival_rates=(), delay_bounds=(), avg_power=36.0)
-    with pytest.raises(ValueError):
-        TrafficParams(arrival_rates=(1.0,), delay_bounds=(1.0, 2.0), avg_power=36.0)
-    with pytest.raises(ValueError):
-        TrafficParams(arrival_rates=(-1.0,), delay_bounds=(1.0,), avg_power=36.0)
-    with pytest.raises(ValueError):
-        TrafficParams(arrival_rates=(1.0,), delay_bounds=(1.0,), avg_power=0.0)

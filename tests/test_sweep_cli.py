@@ -56,7 +56,7 @@ class TestSweep:
     def test_failed_cell_marked_and_rest_continue(self):
         # a 30 W cap cannot host the 36 W average-power budget, and a negative
         # arrival rate is no traffic at all
-        for parameter, bad, good, reason in [("pmax", 30.0, 50.0, "avg_power"), ("lambda", -1.0, 20.0, "traffic: arrival rates")]:
+        for parameter, bad, good, reason in [("pmax", 30.0, 50.0, "avg_power"), ("lambda", -1.0, 20.0, "traffic.arrival_rate_pkts must be finite and non-negative")]:
             spec = SweepSpec(parameter=parameter, values=(bad, good), policies=("proposed",), replications=1)
             table = run_sweep(spec, BASE)
             assert len(table.rows) == 2
@@ -287,10 +287,12 @@ def _digest(path):
 
 
 # SHA-256 of each written file, generated before the sweep table and the
-# figure columns were each laid out in one table.
+# figure columns were each laid out in one table.  sweep_lambda.csv was
+# pinned again when config errors began with their `section.key`: only the
+# error text of its four failed rows changed.
 PINNED_SWEEP_OUTPUTS = {
     "sweep_pmax.csv": "e5850cad11aa5ffb68cc845e74e0e9f6cae81f5e72bb024337a34084bb4dda84",
-    "sweep_lambda.csv": "da9466534d15d1d2e04e7379498727b49c7a8732f0ef41b16df154923bca02bf",
+    "sweep_lambda.csv": "caa88647676fdf920734ef6a4ba74464674f06b35ccc01e93993cf2f3ba0662c",
     "sweep_omega.csv": "4f3130fa36ae1d847169cb29975aad46595d1d005838eb5908465d33b1494e6d",
     "fig3.csv": "c131d15678d5f3b12f8d17512be7c5889899c7f8f3e0b60ef22a17a3ff1faa42",
     "fig4.csv": "9f11f96d6e8b2c4f06ed02f676c25e5523e9379900a5a4125c75e1ea3e490a13",
@@ -401,7 +403,7 @@ class TestCli:
         assert main(["sweep", "--horizon", "120", "--param", "lambda", "--values=-1,20", "--out", str(tmp_path)]) == 3
         rows = read_sweep(tmp_path / "sweep.csv").rows
         assert [(r.value, r.status) for r in rows] == [(-1.0, "failed"), (20.0, "ok")]
-        assert rows[0].error.startswith("traffic: ")
+        assert rows[0].error.startswith("traffic.arrival_rate_pkts ")
 
     @pytest.mark.parametrize(
         "flag, value",
