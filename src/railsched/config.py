@@ -151,10 +151,14 @@ def _build(raw_values: dict) -> ScenarioConfig:
     slot_hz = geo["slot_duration_s"] * rad["bandwidth_hz"]
     eta = rad["packet_bits"] / slot_hz if slot_hz > 0.0 else math.inf
     speed = geo["speed_kmh"] / 3.6
+    # `Geometry.period_slots` before its ceiling.
+    slot_m = speed * geo["slot_duration_s"]
+    period = 2.0 * geo["cell_radius_m"] / slot_m if slot_m > 0.0 else math.inf
     for name, value in (
         ("radio.noise_psd_dbm_hz gives N0", noise_psd),
         ("radio.packet_bits / (geometry.slot_duration_s * radio.bandwidth_hz) gives eta", eta),
         ("geometry.speed_kmh gives v", speed),
+        ("2 * geometry.cell_radius_m / (geometry.speed_kmh / 3.6 * geometry.slot_duration_s) gives the cell period in slots", period),
     ):
         if not 0.0 < value < math.inf:
             raise ConfigError(f"{name} = {value}, which must be finite and positive")

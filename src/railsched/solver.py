@@ -29,6 +29,21 @@ prefix sums prefix[i] and the table full[i] = M1(prefix[i]); then the
 threshold walk, the neighbour steps, the greedy split (stopping once C is
 used up) and the power N * (2^(eta*C) - 1), the same float that
 `power_for_capacity` returns.
+
+The walk visits segments i = 0, 1, ... and stops at the first whose test
+bound_i = (log2(x_i) - log2(unit)) / eta >= last_i fails, where
+last_i = min(prefix[i+1], hi) and unit = beta * (2^eta - 1).  If no test
+failed it would stop on one known segment: the one reaching hi
+(bisect_left(prefix, hi, 1) - 1), less any trailing segments of weight 0.
+Along the segments x_i does not increase, so neither does bound_i
+(math.log2 is monotone, and IEEE subtraction and division by eta > 0 keep
+order), while last_i does not decrease.  So if that last segment passes,
+every earlier one passes too and C is its last_i, found with two log2
+calls (the price's and one weight's) however many services there are.
+Only when it fails does the segment-by-segment walk run.  In the paper's
+default scenario nearly every slot passes, and a slot then costs the table
+loop, one bisection, two log2, two objective evaluations (M(C) and
+M(C - 1)) and the split.
 A neighbour step reads M1(n) from the table: with j the first index where
 prefix[j] >= n, it is full[j] when prefix[j] == n and otherwise
 full[j-1] + x_{j-1} * (n - prefix[j-1]).  That is bit for bit the float the
@@ -44,7 +59,7 @@ import math
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .channel import MAX_EXPONENT, floor_eps, power_for_capacity
+from .channel import FLOOR_EPS, MAX_EXPONENT, floor_eps, power_for_capacity
 
 # Brute-force enumeration refuses instances beyond this many candidates.
 _BRUTE_FORCE_LIMIT = 100_000
@@ -193,40 +208,64 @@ def solve_slot(inst: SlotInstance) -> SlotSolution:
         prefix.append(total)
         full.append(value)
 
-    hi = min(total, floor_eps(capacity_cap))
+    # `floor_eps(capacity_cap)`, and min(total, cap), inline.
+    cap = math.floor(capacity_cap + FLOOR_EPS)
+    hi = total if total < cap else cap
     c, objective = 0, 0.0
     if hi > 0:
         # Threshold rule: packet c+1 gains its service weight x and costs
         # beta * 2^(eta*c) * (2^eta - 1), so on each weight segment it is worth
-        # taking while c < (log2(x) - log2(beta * (2^eta - 1))) / eta.
-        unit = beta * (2.0**eta - 1.0)
-        log_unit = math.log2(unit) if unit > 0.0 else 0.0
-        for i, x in enumerate(xs):
-            if x <= 0.0 or c >= hi:
-                break
-            last = min(prefix[i + 1], hi)
+        # taking while c < (log2(x) - log2(beta * (2^eta - 1))) / eta.  With no
+        # bound in the way the walk would stop on segment `last_seg`: the one
+        # reaching hi, less any trailing segments of weight 0.  Its bound is
+        # the lowest and its end the highest of the segments up to it, so if
+        # its test passes every earlier one does and C is its end.
+        last_seg = bisect_left(prefix, hi, 1) - 1
+        while last_seg >= 0 and xs[last_seg] <= 0.0:
+            last_seg -= 1
+        if last_seg >= 0:
+            end = prefix[last_seg + 1]
+            c = end if end < hi else hi
+            unit = beta * (2.0**eta - 1.0)
             if unit > 0.0:
-                bound = (math.log2(x) - log_unit) / eta
-                if not bound >= last:
-                    if bound > c:
-                        c = math.ceil(bound)
-                    break
-            c = last
+                log_unit = math.log2(unit)
+                if not (math.log2(xs[last_seg]) - log_unit) / eta >= c:
+                    # Some segment's test fails: walk to the first that does.
+                    c = 0
+                    for i, x in enumerate(xs):
+                        if x <= 0.0 or c >= hi:
+                            break
+                        last = min(prefix[i + 1], hi)
+                        bound = (math.log2(x) - log_unit) / eta
+                        if not bound >= last:
+                            if bound > c:
+                                c = math.ceil(bound)
+                            break
+                        c = last
 
         # The float objective can disagree with the threshold by one packet
         # near a tie; settle on the float optimum, stepping down on equality so
         # ties go to the smaller C.  M1(n) comes from the first prefix entry at
         # or above n: that entry itself, or the segment below it plus a part.
-        def m(n: int) -> float:
+        j = bisect_left(prefix, c)
+        m1 = full[j] if prefix[j] == c else full[j - 1] + xs[j - 1] * (c - prefix[j - 1])
+        objective = m1 - beta * (2.0 ** (eta * c) - 1.0)
+        while c < hi:
+            n = c + 1
             j = bisect_left(prefix, n)
             m1 = full[j] if prefix[j] == n else full[j - 1] + xs[j - 1] * (n - prefix[j - 1])
-            return m1 - beta * (2.0 ** (eta * n) - 1.0)
-
-        objective = m(c)
-        while c < hi and (up := m(c + 1)) > objective:
-            c, objective = c + 1, up
-        while c > 0 and (down := m(c - 1)) >= objective:
-            c, objective = c - 1, down
+            up = m1 - beta * (2.0 ** (eta * n) - 1.0)
+            if not up > objective:
+                break
+            c, objective = n, up
+        while c > 0:
+            n = c - 1
+            j = bisect_left(prefix, n)
+            m1 = full[j] if prefix[j] == n else full[j - 1] + xs[j - 1] * (n - prefix[j - 1])
+            down = m1 - beta * (2.0 ** (eta * n) - 1.0)
+            if not down >= objective:
+                break
+            c, objective = n, down
 
     exponent = eta * c
     if exponent > MAX_EXPONENT:

@@ -257,6 +257,7 @@ def test_cli_bad_ini_value_exits_1(tmp_path, capsys):
     # a malformed value, then values in range whose derived SI value
     # overflows, underflows or divides by zero
     eta = "radio.packet_bits / (geometry.slot_duration_s * radio.bandwidth_hz) gives eta"
+    period = "2 * geometry.cell_radius_m / (geometry.speed_kmh / 3.6 * geometry.slot_duration_s) gives the cell period in slots"
     cases = [
         ("[run]\nhorizon = abc\n", "run.horizon: expected a whole number"),
         ("[radio]\nnoise_psd_dbm_hz = 4000\n", "radio.noise_psd_dbm_hz gives N0 = inf,"),
@@ -264,6 +265,7 @@ def test_cli_bad_ini_value_exits_1(tmp_path, capsys):
         ("[geometry]\nslot_duration_s = 1e-300\n[radio]\nbandwidth_hz = 1e-300\n", f"{eta} = inf,"),
         ("[geometry]\nslot_duration_s = 1e300\n[radio]\nbandwidth_hz = 1e300\n", f"{eta} = 0.0,"),
         ("[geometry]\nspeed_kmh = 5e-324\n", "geometry.speed_kmh gives v = 0.0,"),
+        ("[geometry]\nspeed_kmh = 1e-200\nslot_duration_s = 1e-200\n", f"{period} = inf,"),
     ]
     path = tmp_path / "bad.ini"
     for text, message in cases:

@@ -13,6 +13,7 @@ from railsched.selftest import link_capacity, m1_value, m2_value, objective_valu
 from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, service_order, solve_slot
 
 ETA = 0.048
+ORACLE_RTOL = 1e-9  # the relative objective gap acceptance criterion 1 allows
 
 
 def make_instance(weights, backlogs, beta=0.0, capacity_cap=1e4, noise=1.0):
@@ -319,6 +320,101 @@ def test_oracle_equivalence_at_segment_boundaries():
             j = prefix.index(fast.capacity)
             beside_empty += fast.capacity in prefix[j + 1 :] or (j >= 2 and prefix[j - 2] == prefix[j - 1])
     assert on_boundary >= 1000 and beside_empty >= 300, (on_boundary, beside_empty)
+
+
+@st.composite
+def fast_path_instances(draw):
+    """Instances in the regimes where solve_slot's single last-segment test decides C."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    # frequent zero weights (trailing segments still holding backlog) and
+    # zero backlogs (repeated prefix entries)
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=100.0)), min_size=k, max_size=k))
+    backlogs = draw(st.lists(st.one_of(st.just(0), st.integers(min_value=1, max_value=40)), min_size=k, max_size=k))
+    order = sorted(range(k), key=lambda i: (-weights[i], i))
+    xs = [weights[i] for i in order]
+    prefix = list(itertools.accumulate((backlogs[i] for i in order), initial=0))
+    wide = [i for i in range(k) if prefix[i + 1] - prefix[i] >= 2]
+    cap = draw(st.sampled_from(["none", "mid-segment", "any"] if wide else ["none", "any"]))
+    if cap == "none":
+        cap = 1e4
+    elif cap == "mid-segment":
+        # hi falls strictly inside a segment, not on a prefix entry
+        i = draw(st.sampled_from(wide))
+        cap = draw(st.integers(min_value=prefix[i] + 1, max_value=prefix[i + 1] - 1)) + draw(st.floats(min_value=0.0, max_value=0.9))
+    else:
+        cap = draw(st.floats(min_value=0.0, max_value=300.0))
+    # the last segment the walk reaches with no bound in the way: the one
+    # holding packet hi, less any trailing segments of weight 0
+    hi = min(prefix[-1], math.floor(cap + 1e-9))
+    reached = [i for i in range(k) if xs[i] > 0.0 and prefix[i] < hi]
+    regime = draw(st.sampled_from(["zero", "underflowing", "tiny", "last bound within a packet", "any"]))
+    if regime == "zero":
+        beta = 0.0
+    elif regime == "underflowing":
+        beta = draw(st.sampled_from([5e-324, 1e-323, 5e-323]))
+        assert beta * (2.0**ETA - 1.0) == 0.0
+    elif regime == "tiny":
+        # every bound is thousands of packets, far past any segment end
+        beta = draw(st.floats(min_value=1e-300, max_value=1e-200))
+    elif regime == "last bound within a packet" and reached:
+        # (log2(x) - log2(beta * (2^eta - 1))) / eta = last + offset
+        last = min(prefix[reached[-1] + 1], hi)
+        offset = draw(st.floats(min_value=-1.0, max_value=1.0))
+        beta = xs[reached[-1]] * 2.0 ** (-ETA * (last + offset)) / (2.0**ETA - 1.0)
+    else:
+        beta = draw(st.floats(min_value=1e-6, max_value=100.0))
+    return make_instance(weights, backlogs, beta=beta, capacity_cap=cap)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fast_path_instances())
+def test_last_segment_test_matches_oracle(inst):
+    fast, slow = solve_slot(inst), brute_force_slot(inst)
+    assert fast.capacity == slow.capacity
+    assert fast.allocation == slow.allocation
+    assert abs(fast.objective - slow.objective) <= ORACLE_RTOL * max(1.0, abs(slow.objective))
+
+
+def _count_log2(monkeypatch):
+    calls = []
+    log2 = math.log2
+
+    def counting(x):
+        calls.append(x)
+        return log2(x)
+
+    monkeypatch.setattr(math, "log2", counting)
+    return calls
+
+
+def test_slack_slot_takes_two_log2(monkeypatch):
+    # K = 6, every segment worth taking: the price's log2 and the last
+    # segment's decide C, whatever K is
+    inst = make_instance([6.0, 5.0, 4.0, 3.0, 2.0, 1.0], [20] * 6, beta=1e-3)
+    calls = _count_log2(monkeypatch)
+    sol = solve_slot(inst)
+    assert sol.capacity == 120
+    assert len(calls) <= 2, calls
+
+
+@pytest.mark.parametrize(
+    "weights, backlogs, expected",
+    [([10.0, 1e-6], [50, 50], 50), ([10.0, 1e-3], [50, 500], 102)],
+    ids=["stops-at-segment-end", "stops-inside-segment"],
+)
+def test_last_segment_fails_earlier_pass(monkeypatch, weights, backlogs, expected):
+    # The last segment's bound (-105 and 101.8 packets) is below its end
+    # (100 and 550) while the first segment's (378) passes, so the walk runs
+    # and stops on the second segment: at its start, or at ceil(bound).
+    inst = make_instance(weights, backlogs, beta=1e-3)
+    calls = _count_log2(monkeypatch)
+    fast = solve_slot(inst)
+    assert len(calls) > 2, calls
+    monkeypatch.undo()
+    slow = brute_force_slot(inst)
+    assert fast.capacity == slow.capacity == expected
+    assert fast.allocation == slow.allocation
+    assert abs(fast.objective - slow.objective) <= ORACLE_RTOL * max(1.0, abs(slow.objective))
 
 
 class TestBruteForce:
