@@ -1,4 +1,4 @@
-"""Command-line interface: run, sweep, plotdata, selftest.
+"""Command-line interface: run, sweep, plotdata.
 
 Exit codes: 0 success, 1 configuration or command-line error, 2 runtime
 or invariant failure, 3 sweep finished with some failed cells.
@@ -14,7 +14,6 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .engine import run
-from .selftest import run_selftest
 from .sweep import FIGURES, SWEEP_PARAMETERS, SweepSpec, emit_plotdata, read_sweep, run_sweep, write_sweep
 from .traceio import read_trace, write_summary, write_trace
 
@@ -107,10 +106,6 @@ def _cmd_plotdata(args) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(args) -> int:
-    return EXIT_OK if run_selftest(verbose=True) else EXIT_RUNTIME
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="railsched", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -138,9 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--window-start", type=_whole(0), default=0, help="fig3 window start slot")
     p_plot.add_argument("--out", type=Path, default=Path("."))
     p_plot.set_defaults(func=_cmd_plotdata)
-
-    p_self = sub.add_parser("selftest", help="run the built-in oracle and property checks")
-    p_self.set_defaults(func=_cmd_selftest)
 
     return parser
 

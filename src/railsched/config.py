@@ -227,7 +227,7 @@ def load_config(path: Optional[str | Path] = None, **overrides) -> ScenarioConfi
             parser.read_file(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     from_file = {}
     for section in parser.sections():

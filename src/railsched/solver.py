@@ -56,6 +56,7 @@ enumerates every integer C, as an independent check of that whole chain.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from typing import NamedTuple
 
@@ -80,7 +81,7 @@ class SlotInstance(_SlotFields):
     `weights` are the delay-pressure virtual queues X_k, `beta` is the
     aggregated power price omega * N * K * Y, and `capacity_cap` is the
     real-valued packet cap implied by the slot's power cap.  Every float
-    must be finite; `eta` and `noise_equiv` must be positive.
+    must be finite, `eta` and `noise_equiv` positive, each backlog an int >= 0.
     """
 
     __slots__ = ()
@@ -102,8 +103,8 @@ class SlotInstance(_SlotFields):
             if not 0.0 <= w < math.inf:
                 raise ValueError(f"weights must be finite and non-negative, got {w!r}")
         for q in backlogs:
-            if q < 0:
-                raise ValueError("backlogs must be non-negative")
+            if not (type(q) is int or isinstance(q, numbers.Integral)) or q < 0:
+                raise ValueError(f"backlogs must be non-negative integers, got {q!r}")
         if not 0.0 <= beta < math.inf:
             raise ValueError(f"beta must be finite and non-negative, got {beta!r}")
         if not 0.0 < eta < math.inf:

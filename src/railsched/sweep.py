@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, with_updates
 from .engine import SimSummary, Trace, run
-from .traceio import _finite, _flag, _fmt, _parse
+from .traceio import _finite, _flag, _fmt, _named_decode_errors, _parse
 
 # Each sweep parameter and the config key it sets.
 SWEEP_PARAMETERS = {"omega": "omega", "lambda": "arrival_rate_pkts", "pmax": "max_power_w"}
@@ -189,7 +189,8 @@ def read_sweep(path: str | Path) -> SweepTable:
     An `ok` row needs finite numbers, and its avg_delay vector must be as
     long as every other `ok` row's; a failed row may carry NaN.
     """
-    lines = Path(path).read_text(encoding="utf-8").rstrip("\n").split("\n")
+    with _named_decode_errors(path):
+        lines = Path(path).read_text(encoding="utf-8").rstrip("\n").split("\n")
     names = [name for name, _, _ in _sweep_schema()]
     if lines[0] != ",".join(names):
         raise ValueError(f"{path}: unexpected sweep header")

@@ -11,6 +11,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from pathlib import Path
@@ -68,7 +69,7 @@ def read_trace(path: str | Path) -> Trace:
     columns finite values.  Empty lines may only end the file; a header
     with no rows gives a zero-length trace.
     """
-    with open(path, encoding="utf-8") as src:
+    with _named_decode_errors(path), open(path, encoding="utf-8") as src:
         header = src.readline().rstrip("\n").split(",")
         k_count, extra = divmod(len(header) - len(_HEAD) - len(_TAIL), len(_SERVICE))
         if extra:
@@ -102,6 +103,15 @@ def read_trace(path: str | Path) -> Trace:
         else:
             fields.setdefault(name, np.empty((len(rows), k_count), dtype=values.dtype))[:, k] = values
     return Trace(**fields)
+
+
+@contextlib.contextmanager
+def _named_decode_errors(path):
+    """Re-raise a file that is not UTF-8 as a ValueError naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _numbered_lines(path, src):
@@ -181,8 +191,10 @@ def read_summary(path: str | Path) -> SimSummary:
     Every line is `key = value`.  Floats must be finite, flags 0 or 1, and
     every per-service vector as long as `avg_backlog`.
     """
+    with _named_decode_errors(path):
+        text = Path(path).read_text(encoding="utf-8")
     fields: dict[str, str] = {}
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         if line.strip():
             key, sep, raw = line.partition(" = ")
             if not sep:

@@ -1,0 +1,78 @@
+"""Scalar reference formulas for the channel and the slot objective.
+
+Each works on one slot or one value at a time; the tests compare the
+vectorised and one-pass production paths against them.
+"""
+
+from __future__ import annotations
+
+import math
+
+from railsched.channel import Geometry, RadioParams, floor_eps, power_for_capacity
+from railsched.solver import SlotInstance, _m1, _sorted_view
+
+# Tolerance for float capacities sitting exactly on the feasible boundary.
+FLOAT_SLACK = 1e-9
+
+
+def distance_at(slot: int, geom: Geometry) -> float:
+    """BS-receiver distance at the start of `slot`, nearest-BS association.
+
+    Position along the track is s = v * t * Ts; the horizontal offset to the
+    closest base station is min(s mod 2R, 2R - s mod 2R).
+    """
+    if slot < 0:
+        raise ValueError("slot must be non-negative")
+    s = geom.speed * slot * geom.slot_duration
+    span = 2.0 * geom.cell_radius
+    x = math.fmod(s, span)
+    h = min(x, span - x)
+    return math.hypot(h, geom.rail_offset)
+
+
+def noise_equiv(distance: float, radio: RadioParams) -> float:
+    """Noise-equivalent power N = B * N0 * d^alpha folding pathloss into the SNR denominator."""
+    if distance <= 0:
+        raise ValueError("distance must be positive")
+    return radio.bandwidth * radio.noise_psd * distance**radio.pathloss_exp
+
+
+def link_capacity(power: float, noise: float, eta: float) -> int:
+    """Whole packets deliverable in one slot at transmit power `power`."""
+    if power < 0:
+        raise ValueError("power must be non-negative")
+    if noise <= 0 or eta <= 0:
+        raise ValueError("noise and eta must be positive")
+    if power == 0.0:
+        return 0
+    return max(0, floor_eps(math.log2(1.0 + power / noise) / eta))
+
+
+def capacity_cap(radio: RadioParams, noise: float) -> float:
+    """Real-valued capacity reachable at the instantaneous power cap."""
+    if noise <= 0:
+        raise ValueError("noise must be positive")
+    return math.log2(1.0 + radio.max_power / noise) / radio.eta
+
+
+def m1_value(capacity: float, inst: SlotInstance) -> float:
+    """Piecewise-linear continuation of the greedy optimum to real capacity."""
+    if capacity < 0 or capacity > inst.total_backlog + FLOAT_SLACK:
+        raise ValueError(f"capacity {capacity} outside [0, {inst.total_backlog}]")
+    _, xs, prefix = _sorted_view(inst)
+    return _m1(min(capacity, float(inst.total_backlog)), xs, prefix)
+
+
+def m2_value(capacity: float, inst: SlotInstance) -> float:
+    """Weighted power cost beta * (2^(eta*C) - 1); convex, zero at zero."""
+    if capacity < 0:
+        raise ValueError("capacity must be non-negative")
+    return inst.beta * (power_for_capacity(capacity, 1.0, inst.eta) if capacity > 0 else 0.0)
+
+
+def objective_value(capacity: float, inst: SlotInstance) -> float:
+    """M(C) = M1(C) - M2(C) on the feasible range [0, min(sum Q, capacity_cap)]."""
+    hi = min(float(inst.total_backlog), inst.capacity_cap)
+    if capacity < 0 or capacity > hi + FLOAT_SLACK:
+        raise ValueError(f"capacity {capacity} outside [0, {hi}]")
+    return m1_value(capacity, inst) - m2_value(capacity, inst)

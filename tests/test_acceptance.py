@@ -17,10 +17,11 @@ from railsched.channel import distance_profile, noise_profile
 from railsched.cli import main
 from railsched.config import default_config, load_config, with_updates
 from railsched.engine import audit_decisions, replay_check, run
-from railsched.selftest import noise_equiv, objective_value
 from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, solve_slot
 from railsched.sweep import SweepSpec, read_sweep, run_sweep
 from railsched.traceio import write_trace
+
+from reference_formulas import noise_equiv, objective_value
 
 SEEDS = (1, 2, 3)
 HORIZON = 300_000

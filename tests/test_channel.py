@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from railsched.channel import Geometry, RadioParams, capacity_cap_profile, distance_profile, noise_profile, power_for_capacity
-from railsched.selftest import capacity_cap, distance_at, link_capacity, noise_equiv
+
+from reference_formulas import capacity_cap, distance_at, link_capacity, noise_equiv
 
 # Default physical setup: 1.5 km cells 50 m off the track, 100 m/s, 1 ms slots.
 GEOM = Geometry(cell_radius=1500.0, rail_offset=50.0, speed=100.0, slot_duration=1e-3)

@@ -278,6 +278,16 @@ def test_cli_bad_ini_value_exits_1(tmp_path, capsys):
         assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
 
 
+def test_cli_non_utf8_ini_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"\xff\xfe[run]\n")
+    message = f"malformed config file {path}: 'utf-8' codec can't decode byte 0xff"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        load_config(path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
 def reference_trace_text(trace):
     """The trace file text, formatting every value on its own with `_fmt`, row by row."""
     lines = [",".join(trace_columns(trace.num_services))]
@@ -433,6 +443,18 @@ class TestTraceRejectsBadFiles:
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: row 3 is empty"):
             read_trace(path)
 
+    def test_not_utf8(self, tmp_path, short_run, capsys):
+        path = tmp_path / "t.csv"
+        write_trace(short_run[1], path)
+        lines = path.read_bytes().split(b"\n")
+        lines[20] = b"\xff" + lines[20]
+        path.write_bytes(b"\n".join(lines))
+        message = f"{path}: 'utf-8' codec can't decode byte 0xff"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_trace(path)
+        assert main(["plotdata", "--figure", "fig3", "--source", str(path), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_header_only_is_empty_trace(self, tmp_path, short_run):
         path = self.write_edited(tmp_path, short_run[1], lambda lines: lines.__delitem__(slice(1, None)))
         trace = read_trace(path)
@@ -495,3 +517,10 @@ class TestSummaryRejectsBadFiles:
 
     def test_line_without_value(self, tmp_path, short_run):
         self.expect(tmp_path, short_run[2], lambda text: text + "garbage\n", "line 9 is not 'key = value'")
+
+    def test_not_utf8(self, tmp_path, short_run):
+        path = tmp_path / "s.txt"
+        write_summary(short_run[2], path)
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 'utf-8' codec can't decode byte 0xff")):
+            read_summary(path)

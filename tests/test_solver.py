@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from railsched.channel import power_for_capacity
 from railsched.policies import build_policy, decide
 from railsched.queues import SystemState
-from railsched.selftest import link_capacity, m1_value, m2_value, objective_value
 from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, service_order, solve_slot
+
+from reference_formulas import link_capacity, m1_value, m2_value, objective_value
 
 ETA = 0.048
 ORACLE_RTOL = 1e-9  # the relative objective gap acceptance criterion 1 allows
@@ -447,6 +449,18 @@ def test_instance_rejects_non_finite(field, value):
     fields = dict(_VALID_FIELDS, **{field: (2.0, value) if field == "weights" else value})
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         SlotInstance(**fields)
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan])
+def test_instance_rejects_non_integer_backlog(value):
+    # a 2.5 backlog once gave solve_slot a fractional capacity 5.5, and brute_force_slot a bare TypeError
+    with pytest.raises(ValueError, match="backlogs must be non-negative integers"):
+        SlotInstance(**dict(_VALID_FIELDS, backlogs=(value, 3)))
+
+
+def test_instance_takes_numpy_integer_backlogs():
+    inst = SlotInstance(**dict(_VALID_FIELDS, backlogs=(np.int64(3), np.int32(4))))
+    assert solve_slot(inst) == solve_slot(SlotInstance(**_VALID_FIELDS))
 
 
 @pytest.mark.parametrize("field", ["eta", "noise_equiv"])

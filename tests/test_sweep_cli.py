@@ -211,6 +211,13 @@ class TestSweepRejectsBadFiles:
         path = self.write(tmp_path, sweep_lines, lambda lines: lines.__setitem__(0, lines[0].replace("seed", "sed")))
         self.expect(path, "unexpected sweep header")
 
+    def test_not_utf8(self, tmp_path, sweep_lines, capsys):
+        path = self.write(tmp_path, sweep_lines)
+        path.write_bytes(path.read_bytes().replace(b"ok", b"\xff", 1))
+        self.expect(path, "'utf-8' codec can't decode byte 0xff")
+        assert main(["plotdata", "--figure", "fig4", "--source", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
     def test_plotdata_exit_code(self, tmp_path, sweep_lines, capsys):
         path = self.write(tmp_path, sweep_lines, lambda lines: lines.__setitem__(2, lines[2].rsplit(",", 4)[0]))
         assert main(["plotdata", "--figure", "fig6", "--source", str(path), "--out", str(tmp_path)]) == 2
@@ -515,7 +522,15 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["selftest"], "argument command: invalid choice: 'selftest'"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["selftest", "bogus", "missing"],
+    )
+    def test_unknown_or_missing_command_exit_code(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
