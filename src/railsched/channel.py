@@ -85,8 +85,8 @@ def noise_profile(distances: np.ndarray, radio: RadioParams) -> np.ndarray:
 
 def power_for_capacity(capacity: float, noise: float, eta: float) -> float:
     """Exact inverse of the un-floored capacity curve: P = N * (2^(eta*C) - 1)."""
-    if capacity < 0:
-        raise ValueError("capacity must be non-negative")
+    if not capacity >= 0:
+        raise ValueError(f"capacity must be non-negative, got {capacity!r}")
     if capacity == 0.0:
         return 0.0
     exponent = eta * capacity

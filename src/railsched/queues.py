@@ -22,7 +22,10 @@ from functools import cached_property
 import numpy as np
 
 # Rates above this are split into equal chunks and the chunk draws summed
-# (Poisson additivity), keeping the sequential CDF search short and exact.
+# (Poisson additivity).  One table per rate would fail above a rate of about
+# 745, where math.exp(-rate) underflows to 0: `_cdf_table` is then [1.0] and
+# every draw 0.  Any chunk rate below that is exact, but changing this one
+# changes the draws of every seeded run above it.
 _CHUNK_RATE = 30.0
 
 
@@ -102,13 +105,6 @@ class ArrivalProcess:
         for rate in self.rates:
             n_chunks = math.ceil(rate / _CHUNK_RATE)
             self._chunks.append((n_chunks, _cdf_table(rate / n_chunks) if n_chunks else []))
-
-    @staticmethod
-    def _invert(u: float, table: list[float]) -> int:
-        """Sequential search: the smallest k with u <= F(k)."""
-        for k, total in enumerate(table):
-            if u <= total:
-                return k
 
     def sample_horizon(self, num_slots: int) -> np.ndarray:
         """Arrival counts for slots 0..num_slots-1, shape (num_slots, K).

@@ -30,20 +30,21 @@ threshold walk, the neighbour steps, the greedy split (stopping once C is
 used up) and the power N * (2^(eta*C) - 1), the same float that
 `power_for_capacity` returns.
 
-The walk visits segments i = 0, 1, ... and stops at the first whose test
-bound_i = (log2(x_i) - log2(unit)) / eta >= last_i fails, where
-last_i = min(prefix[i+1], hi) and unit = beta * (2^eta - 1).  If no test
-failed it would stop on one known segment: the one reaching hi
-(bisect_left(prefix, hi, 1) - 1), less any trailing segments of weight 0.
+Segment i passes its test when bound_i = (log2(x_i) - log2(unit)) / eta
+>= last_i, where last_i = min(prefix[i+1], hi) and unit = beta * (2^eta - 1).
 Along the segments x_i does not increase, so neither does bound_i
 (math.log2 is monotone, and IEEE subtraction and division by eta > 0 keep
-order), while last_i does not decrease.  So if that last segment passes,
-every earlier one passes too and C is its last_i, found with two log2
-calls (the price's and one weight's) however many services there are.
-Only when it fails does the segment-by-segment walk run.  In the paper's
-default scenario nearly every slot passes, and a slot then costs the table
-loop, one bisection, two log2, two objective evaluations (M(C) and
-M(C - 1)) and the split.
+order), while last_i does not decrease: the segments that pass come first.
+The walk starts on the last segment that can hold packets, the one reaching
+hi (bisect_left(prefix, hi, 1) - 1) less any trailing segments of weight 0,
+and steps back while the test fails.  If that last segment passes, C is its
+last_i.  Otherwise, with f the first segment that fails, C is ceil(bound_f)
+when that lies past f's start prefix[f], and prefix[f] when it does not.  A
+slot whose last segment passes, nearly every slot in the paper's default
+scenario, costs the table loop, one bisection, two log2 (the price's and one
+weight's, however many services there are), two objective evaluations (M(C)
+and M(C - 1)) and the split; each segment the walk steps back past adds one
+log2.
 A neighbour step reads M1(n) from the table: with j the first index where
 prefix[j] >= n, it is full[j] when prefix[j] == n and otherwise
 full[j-1] + x_{j-1} * (n - prefix[j-1]).  That is bit for bit the float the
@@ -169,12 +170,12 @@ def greedy_allocation(capacity: int, inst: SlotInstance) -> list[int]:
     mu for the n-th ranked service is min(max(C - backlog claimed by better
     ranks, 0), Q_n).
     """
+    # NaN fails the chained comparison too.
+    if not 0 <= capacity <= inst.total_backlog:
+        raise ValueError(f"capacity {capacity} outside [0, {inst.total_backlog}]")
     if capacity != int(capacity):
         raise ValueError("capacity must be an integer")
-    capacity = int(capacity)
-    if capacity < 0 or capacity > inst.total_backlog:
-        raise ValueError(f"capacity {capacity} outside [0, {inst.total_backlog}]")
-    return _fill(capacity, inst.backlogs, service_order(inst))
+    return _fill(int(capacity), inst.backlogs, service_order(inst))
 
 
 def _fill(capacity: int, backlogs: tuple[int, ...], order: list[int]) -> list[int]:
@@ -216,11 +217,10 @@ def solve_slot(inst: SlotInstance) -> SlotSolution:
     if hi > 0:
         # Threshold rule: packet c+1 gains its service weight x and costs
         # beta * 2^(eta*c) * (2^eta - 1), so on each weight segment it is worth
-        # taking while c < (log2(x) - log2(beta * (2^eta - 1))) / eta.  With no
-        # bound in the way the walk would stop on segment `last_seg`: the one
-        # reaching hi, less any trailing segments of weight 0.  Its bound is
-        # the lowest and its end the highest of the segments up to it, so if
-        # its test passes every earlier one does and C is its end.
+        # taking while c < (log2(x) - log2(beta * (2^eta - 1))) / eta.  The
+        # segments that can hold packets end at `last_seg`: the one reaching
+        # hi, less any trailing segments of weight 0.  Walk back from it to the
+        # last segment whose test passes, `last` holding each one's end.
         last_seg = bisect_left(prefix, hi, 1) - 1
         while last_seg >= 0 and xs[last_seg] <= 0.0:
             last_seg -= 1
@@ -230,19 +230,17 @@ def solve_slot(inst: SlotInstance) -> SlotSolution:
             unit = beta * (2.0**eta - 1.0)
             if unit > 0.0:
                 log_unit = math.log2(unit)
-                if not (math.log2(xs[last_seg]) - log_unit) / eta >= c:
-                    # Some segment's test fails: walk to the first that does.
-                    c = 0
-                    for i, x in enumerate(xs):
-                        if x <= 0.0 or c >= hi:
-                            break
-                        last = min(prefix[i + 1], hi)
-                        bound = (math.log2(x) - log_unit) / eta
-                        if not bound >= last:
-                            if bound > c:
-                                c = math.ceil(bound)
-                            break
-                        c = last
+                i, last = last_seg, c
+                while i >= 0:
+                    bound = (math.log2(xs[i]) - log_unit) / eta
+                    if bound >= last:
+                        break
+                    stop, last = bound, prefix[i]
+                    i -= 1
+                if i < last_seg:
+                    # C stops in the first segment that fails, at ceil(bound)
+                    # if that lies past the segment's start `last`.
+                    c = math.ceil(stop) if stop > last else last
 
         # The float objective can disagree with the threshold by one packet
         # near a tie; settle on the float optimum, stepping down on equality so

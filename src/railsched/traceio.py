@@ -72,8 +72,8 @@ def read_trace(path: str | Path) -> Trace:
     with _named_decode_errors(path), open(path, encoding="utf-8") as src:
         header = src.readline().rstrip("\n").split(",")
         k_count, extra = divmod(len(header) - len(_HEAD) - len(_TAIL), len(_SERVICE))
-        if extra:
-            raise ValueError(f"{path}: {len(header)} columns do not fit the 6 + 4K + 2 trace schema")
+        if extra or k_count < 1:
+            raise ValueError(f"{path}: {len(header)} columns do not fit the 6 + 4K + 2 trace schema with K >= 1")
         schema = _trace_schema(k_count)
         if header != trace_columns(k_count):
             raise ValueError(f"{path}: unexpected trace header")

@@ -1,4 +1,4 @@
-"""Scalar reference formulas for the channel and the slot objective.
+"""Scalar reference formulas for the channel, the arrival draws and the slot objective.
 
 Each works on one slot or one value at a time; the tests compare the
 vectorised and one-pass production paths against them.
@@ -53,6 +53,13 @@ def capacity_cap(radio: RadioParams, noise: float) -> float:
     if noise <= 0:
         raise ValueError("noise must be positive")
     return math.log2(1.0 + radio.max_power / noise) / radio.eta
+
+
+def invert_cdf(u: float, table: list[float]) -> int:
+    """Sequential search: the smallest k with u <= F(k)."""
+    for k, total in enumerate(table):
+        if u <= total:
+            return k
 
 
 def m1_value(capacity: float, inst: SlotInstance) -> float:

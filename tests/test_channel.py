@@ -127,6 +127,10 @@ class TestPowerForCapacity:
         with pytest.raises(ValueError):
             power_for_capacity(-1.0, NOISE_CENTER, 0.048)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="capacity must be non-negative, got nan"):
+            power_for_capacity(math.nan, 1.0, 0.048)
+
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             power_for_capacity(1e9, NOISE_CENTER, 0.048)

@@ -438,6 +438,16 @@ class TestTraceRejectsBadFiles:
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: row 0 has 32 fields, but the header has 28 columns \(K=5\)"):
             read_trace(path)
 
+    def test_header_with_no_services(self, tmp_path, capsys):
+        # 8 columns fit 6 + 4K + 2 with K = 0, but a trace has at least one service
+        path = tmp_path / "t.csv"
+        path.write_text(",".join(trace_columns(0)) + "\n0,1.0,1.0,0.0,0,0,0.0,0\n")
+        message = f"{path}: 8 columns do not fit the 6 + 4K + 2 trace schema with K >= 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_trace(path)
+        assert main(["plotdata", "--figure", "fig3", "--source", str(path), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_interior_empty_line(self, tmp_path, short_run):
         path = self.write_edited(tmp_path, short_run[1], lambda lines: lines.insert(4, ""))
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: row 3 is empty"):

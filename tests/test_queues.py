@@ -13,6 +13,8 @@ from railsched.queues import (
     update_virtual_power,
 )
 
+from reference_formulas import invert_cdf
+
 
 def make_params(rates, bounds=None, avg_power=36.0, buffer_cap=1_000_000):
     rates = tuple(rates)
@@ -44,7 +46,7 @@ class TestArrivals:
         for k, (n_chunks, table) in enumerate(proc._chunks):
             stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9, spawn_key=(k,))))
             for t in range(200):
-                expected = sum(proc._invert(stream.random(), table) for _ in range(n_chunks))
+                expected = sum(invert_cdf(stream.random(), table) for _ in range(n_chunks))
                 assert block[t, k] == expected
 
     @pytest.mark.parametrize("rate", [17.0, 23.0, 28.340553333333332])
@@ -53,7 +55,7 @@ class TestArrivals:
         # draw, which once sent the draw into an endless tail search.
         table = _cdf_table(rate)
         assert table[-1] == 1.0
-        assert ArrivalProcess._invert(1.0 - 2.0**-53, table) == len(table) - 1
+        assert invert_cdf(1.0 - 2.0**-53, table) == len(table) - 1
         assert np.searchsorted(table, 1.0 - 2.0**-53, side="left") == len(table) - 1
 
     def test_every_table_ends_at_one(self):
@@ -70,6 +72,14 @@ class TestArrivals:
         counts = ArrivalProcess((45.0,), master_seed=7).sample_horizon(100_000)[:, 0]
         assert abs(counts.mean() - 45.0) < 0.3
         assert abs(counts.var(ddof=1) - 45.0) < 1.5
+
+    def test_rate_800_moments(self):
+        # A single table at this rate would start from math.exp(-800) == 0.0,
+        # end as [1.0] and draw 0 every slot; the chunks keep the draws Poisson.
+        assert _cdf_table(800.0) == [1.0]
+        counts = ArrivalProcess((800.0,), master_seed=7).sample_horizon(2_000)[:, 0]
+        assert abs(counts.mean() - 800.0) < 4.0
+        assert abs(counts.var(ddof=1) - 800.0) < 160.0
 
     def test_streams_independent_of_service_count(self):
         # Service k's stream depends only on (seed, k), not on which others exist.

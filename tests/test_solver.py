@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from railsched import solver
 from railsched.channel import power_for_capacity
 from railsched.policies import build_policy, decide
 from railsched.queues import SystemState
@@ -72,6 +74,11 @@ class TestGreedyAllocation:
             greedy_allocation(5, inst)
         with pytest.raises(ValueError):
             greedy_allocation(-1, inst)
+
+    @pytest.mark.parametrize("capacity", [math.inf, math.nan])
+    def test_rejects_non_finite(self, capacity):
+        with pytest.raises(ValueError, match=r"capacity .* outside \[0, 4\]"):
+            greedy_allocation(capacity, make_instance([1.0], [4]))
 
     def test_tie_break_by_index(self):
         inst = make_instance([5.0, 5.0], [3, 3])
@@ -325,8 +332,8 @@ def test_oracle_equivalence_at_segment_boundaries():
 
 
 @st.composite
-def fast_path_instances(draw):
-    """Instances in the regimes where solve_slot's single last-segment test decides C."""
+def walk_back_instances(draw):
+    """Instances in the regimes where solve_slot's walk back decides C, stopping on any segment."""
     k = draw(st.integers(min_value=1, max_value=6))
     # frequent zero weights (trailing segments still holding backlog) and
     # zero backlogs (repeated prefix entries)
@@ -349,7 +356,7 @@ def fast_path_instances(draw):
     # holding packet hi, less any trailing segments of weight 0
     hi = min(prefix[-1], math.floor(cap + 1e-9))
     reached = [i for i in range(k) if xs[i] > 0.0 and prefix[i] < hi]
-    regime = draw(st.sampled_from(["zero", "underflowing", "tiny", "last bound within a packet", "any"]))
+    regime = draw(st.sampled_from(["zero", "underflowing", "tiny", "last bound within a packet", "a drawn bound within a packet", "any"]))
     if regime == "zero":
         beta = 0.0
     elif regime == "underflowing":
@@ -363,14 +370,21 @@ def fast_path_instances(draw):
         last = min(prefix[reached[-1] + 1], hi)
         offset = draw(st.floats(min_value=-1.0, max_value=1.0))
         beta = xs[reached[-1]] * 2.0 ** (-ETA * (last + offset)) / (2.0**ETA - 1.0)
+    elif regime == "a drawn bound within a packet" and reached:
+        # the same for any segment the walk reaches, the first included, so
+        # the walk back stops on every position
+        i = draw(st.sampled_from(reached))
+        last = min(prefix[i + 1], hi)
+        offset = draw(st.floats(min_value=-1.0, max_value=1.0))
+        beta = xs[i] * 2.0 ** (-ETA * (last + offset)) / (2.0**ETA - 1.0)
     else:
         beta = draw(st.floats(min_value=1e-6, max_value=100.0))
     return make_instance(weights, backlogs, beta=beta, capacity_cap=cap)
 
 
 @settings(max_examples=400, deadline=None)
-@given(fast_path_instances())
-def test_last_segment_test_matches_oracle(inst):
+@given(walk_back_instances())
+def test_walk_back_matches_oracle(inst):
     fast, slow = solve_slot(inst), brute_force_slot(inst)
     assert fast.capacity == slow.capacity
     assert fast.allocation == slow.allocation
@@ -404,10 +418,10 @@ def test_slack_slot_takes_two_log2(monkeypatch):
     [([10.0, 1e-6], [50, 50], 50), ([10.0, 1e-3], [50, 500], 102)],
     ids=["stops-at-segment-end", "stops-inside-segment"],
 )
-def test_last_segment_fails_earlier_pass(monkeypatch, weights, backlogs, expected):
+def test_walk_back_stops_on_an_earlier_segment(monkeypatch, weights, backlogs, expected):
     # The last segment's bound (-105 and 101.8 packets) is below its end
-    # (100 and 550) while the first segment's (378) passes, so the walk runs
-    # and stops on the second segment: at its start, or at ceil(bound).
+    # (100 and 550) while the first segment's (378) passes, so the walk steps
+    # back and C lands on the second segment: at its start, or at ceil(bound).
     inst = make_instance(weights, backlogs, beta=1e-3)
     calls = _count_log2(monkeypatch)
     fast = solve_slot(inst)
@@ -415,6 +429,31 @@ def test_last_segment_fails_earlier_pass(monkeypatch, weights, backlogs, expecte
     monkeypatch.undo()
     slow = brute_force_slot(inst)
     assert fast.capacity == slow.capacity == expected
+    assert fast.allocation == slow.allocation
+    assert abs(fast.objective - slow.objective) <= ORACLE_RTOL * max(1.0, abs(slow.objective))
+
+
+@pytest.mark.parametrize("first_failing", range(6))
+def test_walk_back_log2_count(monkeypatch, first_failing):
+    # K = 6 segments of 20 packets whose bounds fall 20 packets per segment,
+    # with segment f's bound halfway along it: every segment before f
+    # passes, f and those after it fail.  The walk back tests segments 5
+    # down to f, then f - 1 when there is one, plus the price's log2.  C
+    # lands on the optimum, so the neighbour steps make one failed step each
+    # way: four bisections with the one that finds the last segment.
+    weights = [2.0 ** (-ETA * 20 * i) for i in range(6)]
+    bound_0 = 40 * first_failing + 10
+    inst = make_instance(weights, [20] * 6, beta=2.0 ** (-ETA * bound_0) / (2.0**ETA - 1.0))
+    calls = _count_log2(monkeypatch)
+    bisections = []
+    monkeypatch.setattr(solver, "bisect_left", lambda *args: bisections.append(args) or bisect.bisect_left(*args))
+    fast = solve_slot(inst)
+    assert len(calls) <= 1 + (6 - first_failing) + (first_failing > 0), calls
+    assert len(bisections) == 4
+    monkeypatch.undo()
+    slow = brute_force_slot(inst)
+    assert 20 * first_failing < fast.capacity < 20 * (first_failing + 1)
+    assert fast.capacity == slow.capacity
     assert fast.allocation == slow.allocation
     assert abs(fast.objective - slow.objective) <= ORACLE_RTOL * max(1.0, abs(slow.objective))
 
