@@ -28,7 +28,10 @@ one loop over that order that builds the sorted weights xs, the backlog
 prefix sums prefix[i] and the table full[i] = M1(prefix[i]); then the
 threshold walk, the neighbour steps, the greedy split (stopping once C is
 used up) and the power N * (2^(eta*C) - 1), the same float that
-`power_for_capacity` returns.
+`power_for_capacity` returns.  When C is the whole backlog sum Q_k, the
+split is the backlog itself: every service is served in full, whatever the
+order, so neither `solve_slot` nor `greedy_allocation` fills.  In the
+paper's default scenario that is nearly every slot.
 
 Segment i passes its test when bound_i = (log2(x_i) - log2(unit)) / eta
 >= last_i, where last_i = min(prefix[i+1], hi) and unit = beta * (2^eta - 1).
@@ -168,13 +171,17 @@ def greedy_allocation(capacity: int, inst: SlotInstance) -> list[int]:
     """Optimal integer split of `capacity` packets: fill services in descending X_k.
 
     mu for the n-th ranked service is min(max(C - backlog claimed by better
-    ranks, 0), Q_n).
+    ranks, 0), Q_n).  When C is the whole backlog that is every Q_k, so the
+    backlog is returned as it stands, with no sort.
     """
+    total = inst.total_backlog
     # NaN fails the chained comparison too.
-    if not 0 <= capacity <= inst.total_backlog:
-        raise ValueError(f"capacity {capacity} outside [0, {inst.total_backlog}]")
+    if not 0 <= capacity <= total:
+        raise ValueError(f"capacity {capacity} outside [0, {total}]")
     if capacity != int(capacity):
         raise ValueError("capacity must be an integer")
+    if capacity == total:
+        return list(inst.backlogs)
     return _fill(int(capacity), inst.backlogs, service_order(inst))
 
 
@@ -214,62 +221,70 @@ def solve_slot(inst: SlotInstance) -> SlotSolution:
     cap = math.floor(capacity_cap + FLOOR_EPS)
     hi = total if total < cap else cap
     c, objective = 0, 0.0
-    if hi > 0:
-        # Threshold rule: packet c+1 gains its service weight x and costs
-        # beta * 2^(eta*c) * (2^eta - 1), so on each weight segment it is worth
-        # taking while c < (log2(x) - log2(beta * (2^eta - 1))) / eta.  The
-        # segments that can hold packets end at `last_seg`: the one reaching
-        # hi, less any trailing segments of weight 0.  Walk back from it to the
-        # last segment whose test passes, `last` holding each one's end.
-        last_seg = bisect_left(prefix, hi, 1) - 1
-        while last_seg >= 0 and xs[last_seg] <= 0.0:
-            last_seg -= 1
-        if last_seg >= 0:
-            end = prefix[last_seg + 1]
-            c = end if end < hi else hi
-            unit = beta * (2.0**eta - 1.0)
-            if unit > 0.0:
-                log_unit = math.log2(unit)
-                i, last = last_seg, c
-                while i >= 0:
-                    bound = (math.log2(xs[i]) - log_unit) / eta
-                    if bound >= last:
-                        break
-                    stop, last = bound, prefix[i]
-                    i -= 1
-                if i < last_seg:
-                    # C stops in the first segment that fails, at ceil(bound)
-                    # if that lies past the segment's start `last`.
-                    c = math.ceil(stop) if stop > last else last
+    try:
+        if hi > 0:
+            # Threshold rule: packet c+1 gains its service weight x and costs
+            # beta * 2^(eta*c) * (2^eta - 1), so on each weight segment it is
+            # worth taking while c < (log2(x) - log2(beta * (2^eta - 1))) / eta.
+            # The segments that can hold packets end at `last_seg`: the one
+            # reaching hi, less any trailing segments of weight 0.  Walk back
+            # from it to the last segment whose test passes, `last` holding
+            # each one's end.
+            last_seg = bisect_left(prefix, hi, 1) - 1
+            while last_seg >= 0 and xs[last_seg] <= 0.0:
+                last_seg -= 1
+            if last_seg >= 0:
+                end = prefix[last_seg + 1]
+                c = end if end < hi else hi
+                unit = beta * (2.0**eta - 1.0)
+                if unit > 0.0:
+                    log_unit = math.log2(unit)
+                    i, last = last_seg, c
+                    while i >= 0:
+                        bound = (math.log2(xs[i]) - log_unit) / eta
+                        if bound >= last:
+                            break
+                        stop, last = bound, prefix[i]
+                        i -= 1
+                    if i < last_seg:
+                        # C stops in the first segment that fails, at
+                        # ceil(bound) if that lies past its start `last`.
+                        c = math.ceil(stop) if stop > last else last
 
-        # The float objective can disagree with the threshold by one packet
-        # near a tie; settle on the float optimum, stepping down on equality so
-        # ties go to the smaller C.  M1(n) comes from the first prefix entry at
-        # or above n: that entry itself, or the segment below it plus a part.
-        j = bisect_left(prefix, c)
-        m1 = full[j] if prefix[j] == c else full[j - 1] + xs[j - 1] * (c - prefix[j - 1])
-        objective = m1 - beta * (2.0 ** (eta * c) - 1.0)
-        while c < hi:
-            n = c + 1
-            j = bisect_left(prefix, n)
-            m1 = full[j] if prefix[j] == n else full[j - 1] + xs[j - 1] * (n - prefix[j - 1])
-            up = m1 - beta * (2.0 ** (eta * n) - 1.0)
-            if not up > objective:
-                break
-            c, objective = n, up
-        while c > 0:
-            n = c - 1
-            j = bisect_left(prefix, n)
-            m1 = full[j] if prefix[j] == n else full[j - 1] + xs[j - 1] * (n - prefix[j - 1])
-            down = m1 - beta * (2.0 ** (eta * n) - 1.0)
-            if not down >= objective:
-                break
-            c, objective = n, down
+            # The float objective can disagree with the threshold by one
+            # packet near a tie; settle on the float optimum, stepping down on
+            # equality so ties go to the smaller C.  M1(n) comes from the first
+            # prefix entry at or above n: that entry itself, or the segment
+            # below it plus a part.
+            j = bisect_left(prefix, c)
+            m1 = full[j] if prefix[j] == c else full[j - 1] + xs[j - 1] * (c - prefix[j - 1])
+            objective = m1 - beta * (2.0 ** (eta * c) - 1.0)
+            while c < hi:
+                n = c + 1
+                j = bisect_left(prefix, n)
+                m1 = full[j] if prefix[j] == n else full[j - 1] + xs[j - 1] * (n - prefix[j - 1])
+                up = m1 - beta * (2.0 ** (eta * n) - 1.0)
+                if not up > objective:
+                    break
+                c, objective = n, up
+            while c > 0:
+                n = c - 1
+                j = bisect_left(prefix, n)
+                m1 = full[j] if prefix[j] == n else full[j - 1] + xs[j - 1] * (n - prefix[j - 1])
+                down = m1 - beta * (2.0 ** (eta * n) - 1.0)
+                if not down >= objective:
+                    break
+                c, objective = n, down
+    except OverflowError:
+        # 2^eta or some 2^(eta*n) overflowed before the range check below.
+        raise ValueError(f"capacity up to {hi} at eta {eta} exceeds the representable power range") from None
 
     exponent = eta * c
     if exponent > MAX_EXPONENT:
         raise ValueError(f"capacity {float(c)} exceeds the representable power range")
-    return SlotSolution(c, noise_equiv * (2.0**exponent - 1.0), tuple(_fill(c, backlogs, order)), objective)
+    # Serving the whole backlog gives every service its Q_k, whatever the order.
+    allocation = backlogs if c == total else tuple(_fill(c, backlogs, order))
+    return SlotSolution(c, noise_equiv * (2.0**exponent - 1.0), allocation, objective)
 
 
 def brute_force_slot(inst: SlotInstance) -> SlotSolution:
@@ -285,10 +300,13 @@ def brute_force_slot(inst: SlotInstance) -> SlotSolution:
         raise ValueError(f"instance too large for enumeration ({hi} candidates)")
     beta, eta = inst.beta, inst.eta
     best_c, best_val = 0, 0.0
-    for c in range(1, hi + 1):
-        val = _m1(float(c), xs, prefix) - beta * (2.0 ** (eta * c) - 1.0)
-        if val > best_val:
-            best_c, best_val = c, val
+    try:
+        for c in range(1, hi + 1):
+            val = _m1(float(c), xs, prefix) - beta * (2.0 ** (eta * c) - 1.0)
+            if val > best_val:
+                best_c, best_val = c, val
+    except OverflowError:
+        raise ValueError(f"capacity up to {hi} at eta {eta} exceeds the representable power range") from None
     return _solution_at(best_c, best_val, inst, order)
 
 

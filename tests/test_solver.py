@@ -382,13 +382,39 @@ def walk_back_instances(draw):
     return make_instance(weights, backlogs, beta=beta, capacity_cap=cap)
 
 
+@st.composite
+def serve_all_instances(draw):
+    """Instances whose optimum carries the whole backlog, where the split skips the ordering."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    # tied positive weights and frequent zero backlogs
+    pool = draw(st.lists(st.floats(min_value=1e-3, max_value=100.0), min_size=1, max_size=2))
+    weights = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    backlogs = draw(st.lists(st.one_of(st.just(0), st.integers(min_value=1, max_value=40)), min_size=k, max_size=k))
+    total = sum(backlogs)
+    cap = total + draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=100.0)))
+    # zero, underflowing or tiny: every bound lies thousands of packets past the backlog
+    beta = draw(st.one_of(st.just(0.0), st.just(5e-324), st.floats(min_value=1e-300, max_value=1e-200)))
+    return make_instance(weights, backlogs, beta=beta, capacity_cap=cap)
+
+
+def descending_fill(inst, capacity):
+    """The greedy split by hand: services in descending X_k, ties by index, each up to its backlog."""
+    mu = [0] * len(inst.backlogs)
+    for k in sorted(range(len(mu)), key=lambda i: (-inst.weights[i], i)):
+        mu[k] = min(inst.backlogs[k], capacity)
+        capacity -= mu[k]
+    return mu
+
+
 @settings(max_examples=400, deadline=None)
-@given(walk_back_instances())
+@given(st.one_of(walk_back_instances(), serve_all_instances()))
 def test_walk_back_matches_oracle(inst):
     fast, slow = solve_slot(inst), brute_force_slot(inst)
     assert fast.capacity == slow.capacity
     assert fast.allocation == slow.allocation
     assert abs(fast.objective - slow.objective) <= ORACLE_RTOL * max(1.0, abs(slow.objective))
+    for capacity in (inst.total_backlog, slow.capacity):
+        assert greedy_allocation(capacity, inst) == descending_fill(inst, capacity)
 
 
 def _count_log2(monkeypatch):
@@ -411,6 +437,28 @@ def test_slack_slot_takes_two_log2(monkeypatch):
     sol = solve_slot(inst)
     assert sol.capacity == 120
     assert len(calls) <= 2, calls
+
+
+@pytest.mark.parametrize(
+    "backlogs, beta, cap, serves_all",
+    [([20] * 6, 1e-3, 1e4, True), ([0] * 6, 1e-3, 1e4, True), ([20] * 6, 100.0, 1e4, False), ([20] * 6, 1e-3, 50.5, False)],
+    ids=["slack", "empty", "priced", "capped"],
+)
+def test_serve_all_skips_the_ordering(monkeypatch, backlogs, beta, cap, serves_all):
+    # A slot that carries the whole backlog gives every service its Q_k, so
+    # neither split sorts or fills; a slot that carries less fills once.
+    inst = make_instance([6.0, 5.0, 4.0, 3.0, 2.0, 1.0], backlogs, beta=beta, capacity_cap=cap)
+    calls = []
+    for name in ("_fill", "service_order"):
+        original = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *args, name=name, original=original: calls.append(name) or original(*args))
+    sol = solve_slot(inst)
+    assert (sol.capacity == inst.total_backlog) == serves_all
+    assert calls == ([] if serves_all else ["_fill"])
+    calls.clear()
+    mu = greedy_allocation(sol.capacity, inst)
+    assert calls == ([] if serves_all else ["service_order", "_fill"])
+    assert mu == list(sol.allocation) == descending_fill(inst, sol.capacity)
 
 
 @pytest.mark.parametrize(
@@ -465,6 +513,24 @@ class TestBruteForce:
 
     def test_empty(self):
         assert brute_force_slot(make_instance([1.0], [0], beta=1.0)).capacity == 0
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [SlotInstance((1.0,), (3000,), 0.0, 0.5, 1.0, 1e4), SlotInstance((1.0,), (3000,), 1.0, 2000.0, 1.0, 1e4)],
+    ids=["objective", "price-unit"],
+)
+def test_overflow_is_a_value_error(inst):
+    # 2^1500 and 2^2000 overflow a double before the solver's own range check
+    for solve in (solve_slot, brute_force_slot):
+        with pytest.raises(ValueError, match="exceeds the representable power range"):
+            solve(inst)
+
+
+def test_priced_slot_below_the_overflow_still_solves():
+    # the same backlog at a price that stops C at 3 packets, far from 2^1024
+    sol = solve_slot(SlotInstance((1.0,), (3000,), 1.0, 0.5, 1.0, 1e4))
+    assert sol == (3, 2.0**1.5 - 1.0, (3,), 3.0 - (2.0**1.5 - 1.0))
 
 
 def test_instance_validation():
