@@ -6,11 +6,11 @@ Everything the scheduler needs from the physical layer is a deterministic
 function of the slot index:
 
     distance d(t)  ->  noise-equivalent power N(t) = B * N0 * d(t)^alpha
-                   ->  packet capacity C = floor(log2(1 + P/N) / eta)
+                   ->  packet cap: the largest whole C with N * (2^(eta*C) - 1) <= P
 
 with eta = L / (Ts * B) converting spectral efficiency into whole packets
-of L bits per slot.  The capacity floor and its exact inverse
-P = N * (2^(eta*C) - 1) are the two directions every policy relies on.
+of L bits per slot.  The cap and its inverse, the power for C packets, use
+one float expression, so the power of any C up to the cap is within P.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Nudge added before flooring so the exact capacity<->power inverse survives
-# floating-point round-off (the inverse only holds in real arithmetic).
+# No floor nudge is needed on a whole-number packet cap; kept for external callers.
 FLOOR_EPS = 1e-9
 
 # Exponent guard: 2^x with x above this is not representable in a double.
@@ -96,6 +95,37 @@ def power_for_capacity(capacity: float, noise: float, eta: float) -> float:
 
 
 def capacity_cap_profile(noises: np.ndarray, power_cap, eta: float) -> np.ndarray:
-    """Real-valued capacity reachable at a power cap given once or per slot."""
-    return np.log2(1.0 + power_cap / np.asarray(noises, dtype=np.float64)) / eta
+    """Packet cap per slot at a power cap given once or per slot, as int64.
 
+    The largest whole C in [0, 2^53] with `N * (2.0 ** (eta * C) - 1.0) <=
+    P_cap` in Python floats, the price `solve_slot` pays.  With u = 2^-53,
+    numpy's estimate e = log2(1 + P/N) / eta is within 9u*e + 2.9u/eta of
+    the real root: P/N and 1 + P/N round by u each (2u/ln 2 in log2), log2
+    is within 4 ulp and / eta rounds by u.  Python prices C as the real C + d,
+    |d| <= 3u*C + 2.9u/eta: eta*C, - 1 and * N round by u (u*C packets each)
+    and the power's ulp, 2u * 2^(eta*C), is 2.9u/eta packets once - 1
+    cancels, growing as eta shrinks.  So C <= e - w fits and C >= e + w does
+    not for w = 2^-48 * (e + 1/eta), 2.6 times the sum: a window with no
+    integer gives floor(e), the rest are bisected on Python's test, so the
+    window never decides a cap.  The bound needs normal doubles: a noise
+    below 2^-970 gets an infinite window.
+    """
+    noises = np.asarray(noises, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        estimate = np.log2(1.0 + power_cap / noises) / eta
+        window = np.where(noises < 2.0**-970, np.inf, 2.0**-48 * (estimate + 1.0 / eta))
+        # fmax reads the NaN of inf - inf (P/N overflows) as 0.
+        lo = np.fmin(np.fmax(np.floor(estimate - window), 0.0), 2.0**53)
+        hi = np.fmin(np.floor(estimate + window), 2.0**53)
+        caps = lo.astype(np.int64)
+    power = np.broadcast_to(power_cap, noises.shape)
+    for t in np.flatnonzero(lo != hi).tolist():
+        noise, cap_power, fits, above = float(noises[t]), float(power[t]), int(lo[t]), int(hi[t]) + 1
+        while above - fits > 1:
+            mid = (fits + above) // 2
+            try:
+                fits, above = (mid, above) if noise * (2.0 ** (eta * mid) - 1.0) <= cap_power else (fits, mid)
+            except OverflowError:
+                above = mid
+        caps[t] = fits
+    return caps

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import FLOOR_EPS, capacity_cap_profile, distance_profile, noise_profile
+from .channel import capacity_cap_profile, distance_profile, noise_profile
 from .config import ScenarioConfig
 from .policies import POWER_CAP_RTOL, build_policy, decide
 from .queues import ArrivalProcess, SystemState, update_real_queue, update_virtual_delay, update_virtual_power
@@ -208,8 +208,9 @@ def summarize(trace: Trace, config: ScenarioConfig) -> SimSummary:
     # Per-service drops are a pure function of the row: overflow beyond the cap.
     dropped = np.maximum(queues - trace.allocation + arrivals - traffic.buffer_cap, 0)
 
-    # Sequential accumulation, matching the in-run streaming sums bit for bit.
-    power_sum = sum(trace.power.tolist(), 0.0)
+    # In-order sums, matching the in-run streaming sums bit for bit (since
+    # Python 3.12 the builtin sum compensates float additions; cumsum does not).
+    power_sum = float(np.cumsum(trace.power)[-1])
     backlog_sum = [int(queues[:, k].sum()) for k in range(trace.num_services)]
     admitted_sum = [int((arrivals[:, k] - dropped[:, k]).sum()) for k in range(trace.num_services)]
     drop_sum = [int(dropped[:, k].sum()) for k in range(trace.num_services)]
@@ -240,8 +241,8 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
     Each slot's input is rebuilt from the trace's slot-start X, Q and Y and
     from the scenario: N(t), the policy's power cap from `build_policy` and
     the packet cap from `capacity_cap_profile`.  A static policy must send at
-    its power cap, with capacity floor_eps(packet cap); a solver policy must
-    carry the slot optimum C* at power N(2^(eta C*) - 1), within its cap.
+    its power cap with the packet cap as capacity; a solver policy must carry
+    the slot optimum C* at power N(2^(eta C*) - 1), no more than its cap.
     Both split the packets greedily in descending X.  C* is found for all
     slots at once by a vectorised threshold rule; where it differs from the
     recorded capacity (np.log2 and numpy's power can differ from the math
@@ -259,7 +260,6 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
     rule = build_policy(policy, traffic.avg_power, radio.max_power, noises)
     power_cap = rule.power_cap
     caps = capacity_cap_profile(noises, power_cap, eta)
-    limit = np.floor(caps + FLOOR_EPS).astype(np.int64)
 
     weights, backlogs = trace.virtual_delay, trace.queues
     order = np.argsort(-weights, axis=1, kind="stable")
@@ -268,24 +268,23 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
     np.cumsum(np.take_along_axis(backlogs, order, axis=1), axis=1, out=prefix[:, 1:])
 
     if rule.static:
-        capacity = limit
-        served = np.minimum(limit, prefix[:, -1])
+        capacity = caps
+        served = np.minimum(caps, prefix[:, -1])
         power = power_cap
     else:
         beta = config.omega * noises * (num_services * trace.virtual_power)
-        capacity = _slot_optima(xs, prefix, beta, eta, np.minimum(prefix[:, -1], limit))
+        capacity = _slot_optima(xs, prefix, beta, eta, np.minimum(prefix[:, -1], caps))
         for t in np.flatnonzero(capacity != trace.capacity).tolist():
             inst = SlotInstance(
-                tuple(weights[t].tolist()), tuple(backlogs[t].tolist()), float(beta[t]), eta, float(noises[t]), float(caps[t])
+                tuple(weights[t].tolist()), tuple(backlogs[t].tolist()), float(beta[t]), eta, float(noises[t]), int(caps[t])
             )
             capacity[t] = brute_force_slot(inst).capacity
             if capacity[t] != trace.capacity[t]:
                 raise AssertionError(f"slot {t}: recorded capacity {trace.capacity[t]} but the slot optimum is {capacity[t]}")
         served = capacity
         # Python's float power, as the solver prices C*; numpy's can differ in the last ulp.
-        needed = np.array([n * (2.0 ** (eta * c) - 1.0) for n, c in zip(noises.tolist(), capacity.tolist())])
-        _require(needed > power_cap * (1.0 + POWER_CAP_RTOL), "the slot optimum needs more than the power cap")
-        power = np.where(needed > power_cap, power_cap, needed)
+        power = np.array([n * (2.0 ** (eta * c) - 1.0) for n, c in zip(noises.tolist(), capacity.tolist())])
+        _require(power > power_cap, "the slot optimum needs more than the power cap")
 
     share = np.clip(served[:, None] - prefix[:, :-1], 0, np.diff(prefix, axis=1))
     allocation = np.empty_like(share)

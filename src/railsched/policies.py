@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import floor_eps
 from .queues import SystemState
 from .solver import SlotInstance, greedy_allocation, solve_slot
 
 # Static power profiles must land their time average on the budget this tightly.
 _WFPA_BUDGET_RTOL = 1e-8
 
-# Slack for float round-off when comparing power against a cap (shared with the engine).
+# Round-off slack on a power profile against `max_power` (shared with the engine).
 POWER_CAP_RTOL = 1e-9
 
 POLICY_NAMES = ("proposed", "cpa-static", "wfpa-static", "cpa-dynamic", "wfpa-dynamic")
@@ -115,35 +114,32 @@ def decide(
     state: SystemState,
     power_cap: float,
     noise: float,
-    capacity_cap: float,
+    capacity_cap: int,
     eta: float,
     omega: float,
 ) -> tuple[float, list[int], int]:
     """Choose one slot's action from the observed queues and channel.
 
     `power_cap` is the policy's power cap for the slot, `noise` the slot's
-    noise-equivalent power N(t) and `capacity_cap` the real-valued packet
-    cap at `power_cap`.  Returns `(power, allocation, capacity)`: the
-    transmit power, the packets sent per service, and the packet count the
-    link carries at that power.  The solver policies always fill `capacity`
-    exactly; the static ones may leave it partly unused when the backlog
-    runs out.
+    noise-equivalent power N(t) and `capacity_cap` the whole packet cap at
+    `power_cap` from `capacity_cap_profile`.  Returns `(power, allocation,
+    capacity)`: the transmit power, the packets sent per service, and the
+    packet count the link carries at that power.  The solver policies fill
+    `capacity` exactly, within `power_cap` (a power above it is a
+    RuntimeError); the static ones may leave it partly unused.
     """
     if policy.static:
-        capacity = floor_eps(capacity_cap)
         inst = _instance(state, noise, capacity_cap, 0.0, eta)
-        return power_cap, greedy_allocation(min(capacity, inst.total_backlog), inst), capacity
+        return power_cap, greedy_allocation(min(capacity_cap, inst.total_backlog), inst), capacity_cap
 
     # Every service prices the one power queue Y, so the price is K * Y.
     beta = omega * noise * (len(state.queues) * state.virtual_power)
     solution = solve_slot(_instance(state, noise, capacity_cap, beta, eta))
     power = solution.power
     if power > power_cap:
-        if power > power_cap * (1.0 + POWER_CAP_RTOL):
-            raise RuntimeError(f"solver power {power} exceeds the {power_cap} W cap")
-        power = power_cap
+        raise RuntimeError(f"solver power {power} exceeds the {power_cap} W cap")
     return power, list(solution.allocation), solution.capacity
 
 
-def _instance(state: SystemState, noise: float, capacity_cap: float, beta: float, eta: float) -> SlotInstance:
+def _instance(state: SystemState, noise: float, capacity_cap: int, beta: float, eta: float) -> SlotInstance:
     return SlotInstance(tuple(state.virtual_delay), tuple(state.queues), beta, eta, noise, capacity_cap)

@@ -26,35 +26,28 @@ exactly with no iteration and no stopping width.
 `solve_slot` does it in one pass: one sort of the services by weight, then
 one loop over that order that builds the sorted weights xs, the backlog
 prefix sums prefix[i] and the table full[i] = M1(prefix[i]); then the
-threshold walk, the neighbour steps, the greedy split (stopping once C is
-used up) and the power N * (2^(eta*C) - 1), the same float that
-`power_for_capacity` returns.  When C is the whole backlog sum Q_k, the
-split is the backlog itself: every service is served in full, whatever the
-order, so neither `solve_slot` nor `greedy_allocation` fills.  In the
-paper's default scenario that is nearly every slot.
+threshold walk, the neighbour steps, the greedy split and the power
+N * (2^(eta*C) - 1), the same float that `power_for_capacity` returns.  When
+C is the whole backlog the split is the backlog itself, whatever the order,
+so neither `solve_slot` nor `greedy_allocation` fills; in the paper's
+default scenario that is nearly every slot.
 
 Segment i passes its test when bound_i = (log2(x_i) - log2(unit)) / eta
 >= last_i, where last_i = min(prefix[i+1], hi) and unit = beta * (2^eta - 1).
-Along the segments x_i does not increase, so neither does bound_i
-(math.log2 is monotone, and IEEE subtraction and division by eta > 0 keep
-order), while last_i does not decrease: the segments that pass come first.
-The walk starts on the last segment that can hold packets, the one reaching
-hi (bisect_left(prefix, hi, 1) - 1) less any trailing segments of weight 0,
-and steps back while the test fails.  If that last segment passes, C is its
-last_i.  Otherwise, with f the first segment that fails, C is ceil(bound_f)
-when that lies past f's start prefix[f], and prefix[f] when it does not.  A
-slot whose last segment passes, nearly every slot in the paper's default
-scenario, costs the table loop, one bisection, two log2 (the price's and one
-weight's, however many services there are), two objective evaluations (M(C)
-and M(C - 1)) and the split; each segment the walk steps back past adds one
-log2.
-A neighbour step reads M1(n) from the table: with j the first index where
-prefix[j] >= n, it is full[j] when prefix[j] == n and otherwise
-full[j-1] + x_{j-1} * (n - prefix[j-1]).  That is bit for bit the float the
-segment walk `_m1` returns, because `full` is summed segment by segment in
-the walk's order and the zero-backlog segments the walk would also visit
-add exactly +0.0.  `brute_force_slot` keeps its own path through `_m1` and
-enumerates every integer C, as an independent check of that whole chain.
+Along the segments bound_i does not increase (x_i does not, and math.log2,
+IEEE subtraction and division by eta > 0 keep order) while last_i does not
+decrease, so the segments that pass come first.  The walk starts on the last
+segment that can hold packets, the one reaching hi less any trailing
+segments of weight 0, and steps back while the test fails.  If that segment
+passes, C is its last_i, at the cost of two log2 however many services
+there are.  Otherwise, with f the first segment that fails, C is
+ceil(bound_f) when that lies past f's start prefix[f], and prefix[f] when it
+does not.  A neighbour step reads M1(n) from the table: with j the first
+index where prefix[j] >= n, full[j] when prefix[j] == n and otherwise
+full[j-1] + x_{j-1} * (n - prefix[j-1]), bit for bit the float of the
+segment walk `_m1`, since `full` is summed in the walk's order and
+zero-backlog segments add exactly +0.0.  `brute_force_slot` keeps its own
+path through `_m1`, as an independent check of that whole chain.
 """
 
 from __future__ import annotations
@@ -62,11 +55,12 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left
+from itertools import accumulate
 from typing import NamedTuple
 
-from .channel import FLOOR_EPS, MAX_EXPONENT, floor_eps, power_for_capacity
+from .channel import MAX_EXPONENT, power_for_capacity
 
-# Brute-force enumeration refuses instances beyond this many candidates.
+# Brute-force enumeration refuses instances that would price more candidates than this.
 _BRUTE_FORCE_LIMIT = 100_000
 
 
@@ -76,7 +70,7 @@ class _SlotFields(NamedTuple):
     beta: float
     eta: float
     noise_equiv: float
-    capacity_cap: float
+    capacity_cap: int
 
 
 class SlotInstance(_SlotFields):
@@ -84,8 +78,8 @@ class SlotInstance(_SlotFields):
 
     `weights` are the delay-pressure virtual queues X_k, `beta` is the
     aggregated power price omega * N * K * Y, and `capacity_cap` is the
-    real-valued packet cap implied by the slot's power cap.  Every float
-    must be finite, `eta` and `noise_equiv` positive, each backlog an int >= 0.
+    packet cap from `capacity_cap_profile`.  Every float must be finite,
+    `eta` and `noise_equiv` positive, each backlog and the cap an int >= 0.
     """
 
     __slots__ = ()
@@ -97,7 +91,7 @@ class SlotInstance(_SlotFields):
         beta: float,
         eta: float,
         noise_equiv: float,
-        capacity_cap: float,
+        capacity_cap: int,
     ) -> SlotInstance:
         # One chained comparison per value: NaN fails every comparison, so
         # `not lo <= v < inf` rejects NaN, infinities and out-of-range values.
@@ -115,8 +109,8 @@ class SlotInstance(_SlotFields):
             raise ValueError(f"eta must be finite and positive, got {eta!r}")
         if not 0.0 < noise_equiv < math.inf:
             raise ValueError(f"noise_equiv must be finite and positive, got {noise_equiv!r}")
-        if not 0.0 <= capacity_cap < math.inf:
-            raise ValueError(f"capacity_cap must be finite and non-negative, got {capacity_cap!r}")
+        if not (type(capacity_cap) is int or isinstance(capacity_cap, numbers.Integral)) or capacity_cap < 0:
+            raise ValueError(f"capacity_cap must be finite and a non-negative integer, got {capacity_cap!r}")
         return tuple.__new__(cls, (weights, backlogs, beta, eta, noise_equiv, capacity_cap))
 
     @classmethod
@@ -140,17 +134,6 @@ def service_order(inst: SlotInstance) -> list[int]:
     """Service indices in descending weight order, ties broken by ascending index."""
     # Python's sort is stable under reverse=True, so equal weights keep ascending index.
     return sorted(range(len(inst.weights)), key=inst.weights.__getitem__, reverse=True)
-
-
-def _sorted_view(inst: SlotInstance) -> tuple[list[int], list[float], list[int]]:
-    # order, weights in that order, and backlog prefix sums (prefix[i] = packets
-    # claimed by the i highest-weight services).
-    order = service_order(inst)
-    xs = [inst.weights[k] for k in order]
-    prefix = [0]
-    for k in order:
-        prefix.append(prefix[-1] + inst.backlogs[k])
-    return order, xs, prefix
 
 
 def _m1(c: float, xs: list[float], prefix: list[int]) -> float:
@@ -217,19 +200,12 @@ def solve_slot(inst: SlotInstance) -> SlotSolution:
         prefix.append(total)
         full.append(value)
 
-    # `floor_eps(capacity_cap)`, and min(total, cap), inline.
-    cap = math.floor(capacity_cap + FLOOR_EPS)
-    hi = total if total < cap else cap
+    hi = total if total < capacity_cap else capacity_cap
     c, objective = 0, 0.0
     try:
         if hi > 0:
-            # Threshold rule: packet c+1 gains its service weight x and costs
-            # beta * 2^(eta*c) * (2^eta - 1), so on each weight segment it is
-            # worth taking while c < (log2(x) - log2(beta * (2^eta - 1))) / eta.
-            # The segments that can hold packets end at `last_seg`: the one
-            # reaching hi, less any trailing segments of weight 0.  Walk back
-            # from it to the last segment whose test passes, `last` holding
-            # each one's end.
+            # The threshold walk: back from `last_seg`, the last segment that
+            # can hold packets, to the last one whose test passes.
             last_seg = bisect_left(prefix, hi, 1) - 1
             while last_seg >= 0 and xs[last_seg] <= 0.0:
                 last_seg -= 1
@@ -251,11 +227,8 @@ def solve_slot(inst: SlotInstance) -> SlotSolution:
                         # ceil(bound) if that lies past its start `last`.
                         c = math.ceil(stop) if stop > last else last
 
-            # The float objective can disagree with the threshold by one
-            # packet near a tie; settle on the float optimum, stepping down on
-            # equality so ties go to the smaller C.  M1(n) comes from the first
-            # prefix entry at or above n: that entry itself, or the segment
-            # below it plus a part.
+            # Near a tie the float objective can disagree with the threshold by
+            # one packet; settle on its optimum, ties to the smaller C.
             j = bisect_left(prefix, c)
             m1 = full[j] if prefix[j] == c else full[j - 1] + xs[j - 1] * (c - prefix[j - 1])
             objective = m1 - beta * (2.0 ** (eta * c) - 1.0)
@@ -288,29 +261,31 @@ def solve_slot(inst: SlotInstance) -> SlotSolution:
 
 
 def brute_force_slot(inst: SlotInstance) -> SlotSolution:
-    """Independent oracle: enumerate every feasible integer capacity.
+    """Independent oracle: enumerate the feasible integer capacities.
 
     Shares only the greedy split `_fill` with `solve_slot`: M1 comes from
     the segment walk `_m1`, the power from `power_for_capacity`, with no
-    threshold rule and no concavity assumption.
+    threshold rule and no concavity assumption.  It stops at the first C
+    whose cost beta * (2^(eta*C) - 1) alone exceeds M1(sum Q), the most any
+    C gains: from there on every C scores below C = 0.
     """
-    order, xs, prefix = _sorted_view(inst)
-    hi = min(prefix[-1], floor_eps(inst.capacity_cap))
-    if hi > _BRUTE_FORCE_LIMIT:
-        raise ValueError(f"instance too large for enumeration ({hi} candidates)")
-    beta, eta = inst.beta, inst.eta
+    # The weights in descending order and the backlog prefix sums in that order.
+    order = service_order(inst)
+    xs, prefix = [inst.weights[k] for k in order], list(accumulate((inst.backlogs[k] for k in order), initial=0))
+    beta, eta, gain = inst.beta, inst.eta, _m1(float(prefix[-1]), xs, prefix)
+    hi = min(prefix[-1], inst.capacity_cap)
     best_c, best_val = 0, 0.0
     try:
         for c in range(1, hi + 1):
-            val = _m1(float(c), xs, prefix) - beta * (2.0 ** (eta * c) - 1.0)
+            cost = beta * (2.0 ** (eta * c) - 1.0)
+            if cost > gain:
+                break
+            if c > _BRUTE_FORCE_LIMIT:
+                raise ValueError(f"instance too large for enumeration (more than {_BRUTE_FORCE_LIMIT} candidates)")
+            val = _m1(float(c), xs, prefix) - cost
             if val > best_val:
                 best_c, best_val = c, val
     except OverflowError:
         raise ValueError(f"capacity up to {hi} at eta {eta} exceeds the representable power range") from None
-    return _solution_at(best_c, best_val, inst, order)
-
-
-def _solution_at(capacity: int, objective: float, inst: SlotInstance, order: list[int]) -> SlotSolution:
-    mu = _fill(capacity, inst.backlogs, order)
-    power = power_for_capacity(float(capacity), inst.noise_equiv, inst.eta)
-    return SlotSolution(capacity=capacity, power=power, allocation=tuple(mu), objective=objective)
+    power = power_for_capacity(float(best_c), inst.noise_equiv, eta)
+    return SlotSolution(best_c, power, tuple(_fill(best_c, inst.backlogs, order)), best_val)

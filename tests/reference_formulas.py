@@ -6,10 +6,11 @@ vectorised and one-pass production paths against them.
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from railsched.channel import Geometry, RadioParams, floor_eps, power_for_capacity
-from railsched.solver import SlotInstance, _m1, _sorted_view
+from railsched.channel import Geometry, RadioParams, power_for_capacity
+from railsched.solver import SlotInstance, _m1, service_order
 
 # Tolerance for float capacities sitting exactly on the feasible boundary.
 FLOAT_SLACK = 1e-9
@@ -38,21 +39,26 @@ def noise_equiv(distance: float, radio: RadioParams) -> float:
 
 
 def link_capacity(power: float, noise: float, eta: float) -> int:
-    """Whole packets deliverable in one slot at transmit power `power`."""
+    """Whole packets deliverable in one slot at transmit power `power`.
+
+    The largest whole C whose price `power_for_capacity(C)` is at most
+    `power`, found by counting up from 0.
+    """
     if power < 0:
         raise ValueError("power must be non-negative")
     if noise <= 0 or eta <= 0:
         raise ValueError("noise and eta must be positive")
-    if power == 0.0:
-        return 0
-    return max(0, floor_eps(math.log2(1.0 + power / noise) / eta))
+    c = 0
+    while power_for_capacity(float(c + 1), noise, eta) <= power:
+        c += 1
+    return c
 
 
-def capacity_cap(radio: RadioParams, noise: float) -> float:
-    """Real-valued capacity reachable at the instantaneous power cap."""
+def capacity_cap(radio: RadioParams, noise: float) -> int:
+    """Whole packets deliverable at the instantaneous power cap."""
     if noise <= 0:
         raise ValueError("noise must be positive")
-    return math.log2(1.0 + radio.max_power / noise) / radio.eta
+    return link_capacity(radio.max_power, noise, radio.eta)
 
 
 def invert_cdf(u: float, table: list[float]) -> int:
@@ -66,7 +72,9 @@ def m1_value(capacity: float, inst: SlotInstance) -> float:
     """Piecewise-linear continuation of the greedy optimum to real capacity."""
     if capacity < 0 or capacity > inst.total_backlog + FLOAT_SLACK:
         raise ValueError(f"capacity {capacity} outside [0, {inst.total_backlog}]")
-    _, xs, prefix = _sorted_view(inst)
+    order = service_order(inst)
+    xs = [inst.weights[k] for k in order]
+    prefix = list(itertools.accumulate((inst.backlogs[k] for k in order), initial=0))
     return _m1(min(capacity, float(inst.total_backlog)), xs, prefix)
 
 

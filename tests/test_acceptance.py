@@ -46,7 +46,7 @@ def random_instance(rng: random.Random) -> SlotInstance:
         beta=10.0 ** rng.uniform(-6.0, 2.0),
         eta=0.048,
         noise_equiv=1e-3,
-        capacity_cap=rng.uniform(0.0, 600.0),
+        capacity_cap=math.floor(rng.uniform(0.0, 600.0)),
     )
 
 
@@ -103,7 +103,7 @@ def test_criterion_2_greedy_optimality_exhaustive():
             weights = tuple(rng.uniform(0.0, 10.0) for _ in range(k))
             if checked % 7 == 0:
                 weights = tuple(float(rng.randint(0, 3)) for _ in range(k))  # exercise ties
-            inst = SlotInstance(weights, backlogs, 0.0, 0.048, 1.0, float(sum(backlogs)))
+            inst = SlotInstance(weights, backlogs, 0.0, 0.048, 1.0, sum(backlogs))
             for c in range(min(12, sum(backlogs)) + 1):
                 mu = greedy_allocation(c, inst)
                 greedy_val = sum(w * m for w, m in zip(weights, mu))
@@ -128,7 +128,7 @@ def test_criterion_3_discrete_concavity():
     worst = -math.inf
     for _ in range(1000):
         inst = random_instance(rng)
-        hi = min(inst.total_backlog, int(inst.capacity_cap))
+        hi = min(inst.total_backlog, inst.capacity_cap)
         values = [objective_value(float(c), inst) for c in range(hi + 1)]
         for c in range(1, len(values) - 1):
             second = values[c + 1] - 2.0 * values[c] + values[c - 1]

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -142,24 +144,85 @@ class TestCapacityCap:
         assert capacity_cap(radio, NOISE_CENTER) == 0.0
 
     def test_center(self):
-        assert capacity_cap(RADIO, NOISE_CENTER) == pytest.approx(595.4639147032531, rel=1e-12)
+        # log2(1 + P/N) / eta is 595.46 packets here
+        assert capacity_cap(RADIO, NOISE_CENTER) == 595
 
     def test_edge(self):
-        assert capacity_cap(RADIO, NOISE_EDGE) == pytest.approx(186.5502597772374, rel=1e-12)
+        # and 186.55 here
+        assert capacity_cap(RADIO, NOISE_EDGE) == 186
 
     @given(st.floats(min_value=1e-8, max_value=1.0))
     def test_inverts_to_max_power(self, noise):
         cap = capacity_cap(RADIO, noise)
-        assert power_for_capacity(cap, noise, RADIO.eta) == pytest.approx(RADIO.max_power, rel=1e-9)
+        assert power_for_capacity(float(cap), noise, RADIO.eta) <= RADIO.max_power
+        assert power_for_capacity(float(cap + 1), noise, RADIO.eta) > RADIO.max_power
+
+
+def _fits(capacity, noise, power, eta):
+    """Python's power test: the price of `capacity` packets is within `power`."""
+    return power_for_capacity(float(capacity), noise, eta) <= power
+
+
+class TestCapacityCapProfile:
+    def test_round_trip(self):
+        # C -> its price -> the cap at that price gives back C
+        rng = np.random.default_rng(7)
+        for eta in (0.048, 0.5, 1e-9):
+            noises = 10.0 ** rng.uniform(-12.0, 2.0, 2000)
+            capacities = rng.integers(0, 1000 if eta < 1e-6 else min(2000, int(900 / eta)), 2000)
+            prices = np.array([power_for_capacity(float(c), n, eta) for c, n in zip(capacities.tolist(), noises.tolist())])
+            caps = capacity_cap_profile(noises, prices, eta)
+            assert caps.dtype == np.int64
+            assert np.array_equal(caps, capacities)
+
+    @pytest.mark.parametrize("eta", [0.048, 0.25, 1e-9], ids=["default", "wide", "tiny-eta"])
+    def test_estimate_beside_an_integer(self, eta):
+        # Power caps a few ulps either side of the price of k packets put the
+        # log2 estimate just below or just above k.  Python's power test
+        # decides k or k - 1, whichever side the estimate lands on: an
+        # estimate below k can still fit k packets, and one at or above k can
+        # price k past the cap.  At a tiny eta, 2^(eta*k) - 1 cancels and the
+        # estimate strays by ~1e-7 packets.
+        rng = random.Random(17)
+        noises, powers, expected, seen = [], [], [], set()
+        for _ in range(1000):
+            noise, k = 10.0 ** rng.uniform(-9.0, 1.0), rng.randint(1, 60 if eta < 1e-6 else 600)
+            power = power_for_capacity(float(k), noise, eta)
+            for _ in range(6):
+                power = math.nextafter(power, 0.0)
+            for _ in range(13):
+                estimate = float(np.log2(1.0 + np.float64(power) / noise) / eta)
+                fits = _fits(k, noise, power, eta)
+                assert _fits(k - 1, noise, power, eta) and not _fits(k + 1, noise, power, eta)
+                seen.add((estimate < k, fits))
+                noises.append(noise)
+                powers.append(power)
+                expected.append(k if fits else k - 1)
+                power = math.nextafter(power, math.inf)
+        caps = capacity_cap_profile(np.array(noises), np.array(powers), eta)
+        assert caps.tolist() == expected
+        # the estimate's floor is wrong both ways: below k yet k fits, at or
+        # above k yet k does not
+        assert (True, True) in seen and (False, False) in seen
+
+    def test_cap_prices_within_the_power_cap(self):
+        # every cap of the default run's profiles fits its power cap, and one
+        # more packet does not
+        noises = noise_profile(distance_profile(30000, GEOM), RADIO)
+        for power_cap in (RADIO.max_power, 0.5, 0.0):
+            caps = capacity_cap_profile(noises, power_cap, RADIO.eta)
+            for noise, cap in zip(noises[::97].tolist(), caps[::97].tolist()):
+                assert _fits(cap, noise, power_cap, RADIO.eta)
+                assert not _fits(cap + 1, noise, power_cap, RADIO.eta)
 
 
 def test_channel_sample_consistent():
     # The channel the engine samples at slot t from its profiles is the
-    # scalar chain d(t) -> N(t) -> capacity cap, up to round-off.
+    # scalar chain d(t) -> N(t) -> packet cap; the cap is exact.
     t = 15000
     distances = distance_profile(t + 1, GEOM)
     noises = noise_profile(distances, RADIO)
     caps = capacity_cap_profile(noises, RADIO.max_power, RADIO.eta)
     assert distances[t] == pytest.approx(distance_at(t, GEOM), rel=1e-12)
     assert noises[t] == pytest.approx(noise_equiv(distance_at(t, GEOM), RADIO), rel=1e-12)
-    assert caps[t] == pytest.approx(capacity_cap(RADIO, float(noises[t])), rel=1e-12)
+    assert caps[t] == capacity_cap(RADIO, float(noises[t]))

@@ -189,6 +189,18 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize(trace, default_config_k(1))
 
+    def test_power_sum_is_sequential(self):
+        # run() adds the powers one slot at a time.  In order, 1e16 + 1.0 + 1.0
+        # is 1e16 (each 1.0 is half an ulp, rounded to even); a compensated sum,
+        # as the builtin sum makes on floats since Python 3.12, gives 1e16 + 2.
+        trace = self.synthetic_trace(horizon=3)
+        trace.power = np.array([1e16, 1.0, 1.0])
+        streamed = 0.0
+        for power in trace.power.tolist():
+            streamed += power
+        assert streamed == 1e16
+        assert summarize(trace, default_config_k(1)).avg_power == streamed / 3
+
 
 def default_config_k(k):
     return with_updates(default_config(), num_services=k)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railsched.channel import capacity_cap_profile, distance_profile, noise_profile
+from railsched.channel import capacity_cap_profile, distance_profile, noise_profile, power_for_capacity
 from railsched.config import default_config
 from railsched.policies import POLICY_NAMES, Policy, build_policy, cpa_profile, decide, wfpa_profile
 from railsched.queues import SystemState
@@ -166,9 +166,9 @@ def _policy(name, avg_power=36.0, max_power=50.0):
 
 
 def _channel(slot, power_cap):
-    """N(t) at `slot` and the real-valued packet cap at `power_cap`, as the engine computes them."""
+    """N(t) at `slot` and the packet cap at `power_cap`, as the engine computes them."""
     noise = float(NOISES[slot])
-    return noise, float(capacity_cap_profile(NOISES[slot : slot + 1], power_cap, CONFIG.radio.eta)[0])
+    return noise, int(capacity_cap_profile(NOISES[slot : slot + 1], power_cap, CONFIG.radio.eta)[0])
 
 
 def _decide(policy, state, slot, omega=CONFIG.omega):
@@ -199,6 +199,18 @@ class TestDecide:
         solution = solve_slot(SlotInstance(tuple(weights), tuple(queues), 0.8 * noise * (6 * y), CONFIG.radio.eta, noise, cap))
         assert 0 < capacity < sum(queues)
         assert (power, allocation, capacity) == (solution.power, list(solution.allocation), solution.capacity)
+
+    def test_solver_power_above_the_cap_is_an_error(self):
+        # The packet cap prices within the power cap, so the solver's power is
+        # that price as it stands.  A power cap a hair below the price of the
+        # packet cap is a RuntimeError, not a clamp.
+        policy, state = _policy("proposed"), _state([900] * 6, [1.0] * 6)
+        noise, cap = _channel(0, 50.0)
+        price = power_for_capacity(float(cap), noise, CONFIG.radio.eta)
+        assert decide(policy, state, 50.0, noise, cap, CONFIG.radio.eta, 0.8)[::2] == (price, cap)
+        assert price <= 50.0
+        with pytest.raises(RuntimeError, match="exceeds the .* W cap"):
+            decide(policy, state, price * (1.0 - 1e-12), noise, cap, CONFIG.radio.eta, 0.8)
 
     def test_static_capacity_ignores_backlog(self):
         # at the cell center a 36 W static slot carries 585 packets whatever the queues say

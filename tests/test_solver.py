@@ -20,14 +20,14 @@ ETA = 0.048
 ORACLE_RTOL = 1e-9  # the relative objective gap acceptance criterion 1 allows
 
 
-def make_instance(weights, backlogs, beta=0.0, capacity_cap=1e4, noise=1.0):
+def make_instance(weights, backlogs, beta=0.0, capacity_cap=10_000, noise=1.0):
     return SlotInstance(
         weights=tuple(float(w) for w in weights),
         backlogs=tuple(int(q) for q in backlogs),
         beta=float(beta),
         eta=ETA,
         noise_equiv=noise,
-        capacity_cap=float(capacity_cap),
+        capacity_cap=capacity_cap,
     )
 
 
@@ -48,7 +48,7 @@ def instances(draw, max_services=8, max_backlog=50):
     weights = draw(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=k, max_size=k))
     backlogs = draw(st.lists(st.integers(min_value=0, max_value=max_backlog), min_size=k, max_size=k))
     beta = draw(st.floats(min_value=1e-6, max_value=100.0))
-    cap = draw(st.floats(min_value=0.0, max_value=600.0))
+    cap = draw(st.integers(min_value=0, max_value=600))
     return make_instance(weights, backlogs, beta=beta, capacity_cap=cap)
 
 
@@ -144,14 +144,14 @@ class TestObjectivePieces:
         assert objective_value(33.0, inst) == pytest.approx(13.020007964889047, rel=1e-12)
 
     def test_objective_rejects_out_of_domain(self):
-        inst = make_instance([1.0], [10], capacity_cap=5.0)
+        inst = make_instance([1.0], [10], capacity_cap=5)
         with pytest.raises(ValueError):
             objective_value(7.0, inst)
 
     @settings(max_examples=150)
     @given(instances(max_services=6, max_backlog=30))
     def test_discrete_concavity(self, inst):
-        hi = min(inst.total_backlog, int(inst.capacity_cap))
+        hi = min(inst.total_backlog, inst.capacity_cap)
         values = [objective_value(float(c), inst) for c in range(hi + 1)]
         for c in range(1, len(values) - 1):
             assert values[c + 1] - 2.0 * values[c] + values[c - 1] <= 1e-9
@@ -169,7 +169,7 @@ class TestGoldenSection:
     def test_interior_stationary_point(self):
         # stationarity of the relaxed objective: 2^(eta*C) = X / (beta * eta * ln 2);
         # the integer optimum is one of its two integer neighbours
-        inst = make_instance([1.0], [1000], beta=10.0, capacity_cap=1e4)
+        inst = make_instance([1.0], [1000], beta=10.0, capacity_cap=10_000)
         analytic = math.log2(1.0 / (10.0 * ETA * math.log(2.0))) / ETA
         assert analytic == pytest.approx(33.07625129163472, rel=1e-12)
         assert solve_slot(inst).capacity in (math.floor(analytic), math.ceil(analytic))
@@ -178,7 +178,7 @@ class TestGoldenSection:
 class TestIntegerRound:
     def test_rounds_down_when_better(self):
         # M(33) > M(34), so the optimum is the floor of the stationary point 33.076
-        inst = make_instance([1.0], [1000], beta=10.0, capacity_cap=1e4)
+        inst = make_instance([1.0], [1000], beta=10.0, capacity_cap=10_000)
         assert objective_value(33.0, inst) > objective_value(34.0, inst)
         assert solve_slot(inst).capacity == 33
 
@@ -192,32 +192,32 @@ class TestSolveSlot:
         assert sol.objective == 0.0
 
     def test_matches_brute_force_example(self):
-        inst = make_instance([3.0, 9.0, 1.0], [4, 2, 10], beta=1e-4, capacity_cap=200.0)
+        inst = make_instance([3.0, 9.0, 1.0], [4, 2, 10], beta=1e-4, capacity_cap=200)
         fast, slow = solve_slot(inst), brute_force_slot(inst)
         assert fast.objective == pytest.approx(slow.objective, rel=1e-12)
         assert fast.capacity == slow.capacity
 
     def test_huge_beta_stays_silent(self):
-        inst = make_instance([100.0], [1000], beta=1e9, capacity_cap=600.0)
+        inst = make_instance([100.0], [1000], beta=1e9, capacity_cap=600)
         # even one packet costs more than it gains: M(1) < 0
         assert objective_value(1.0, inst) < 0.0
         assert solve_slot(inst).capacity == 0
 
     def test_beta_zero_serves_everything(self):
-        inst = make_instance([2.0, 1.0], [30, 40], beta=0.0, capacity_cap=1e4)
+        inst = make_instance([2.0, 1.0], [30, 40], beta=0.0, capacity_cap=10_000)
         sol = solve_slot(inst)
         assert sol.capacity == 70
         assert sol.allocation == (30, 40)
 
     def test_single_service_known_optimum(self):
-        inst = make_instance([1.0], [1000], beta=10.0, capacity_cap=1e4)
+        inst = make_instance([1.0], [1000], beta=10.0, capacity_cap=10_000)
         assert solve_slot(inst).capacity == 33
         assert brute_force_slot(inst).capacity == 33
 
     def test_boundary_maximizer(self):
         # the stationary point (~379) lies beyond the backlog, so the whole
         # backlog is served
-        inst = make_instance([10.0], [100], beta=1e-3, capacity_cap=1e4)
+        inst = make_instance([10.0], [100], beta=1e-3, capacity_cap=10_000)
         assert math.log2(10.0 / (1e-3 * ETA * math.log(2.0))) / ETA > 100.0
         assert solve_slot(inst).capacity == 100
 
@@ -229,13 +229,11 @@ class TestSolveSlot:
         assert fast.capacity == slow.capacity == 3
         assert fast.allocation == slow.allocation == (3, 0)
 
-    @pytest.mark.parametrize("cap, expected", [(100.7, 100), (100.0 - 1e-12, 100)], ids=["fractional", "round-off"])
-    def test_capacity_cap_floor(self, cap, expected):
-        # a nearly free, valuable backlog is served up to the floor of the
-        # cap; round-off just below an integer does not lose a packet
-        inst = make_instance([10.0], [1000], beta=1e-9, capacity_cap=cap)
-        assert solve_slot(inst).capacity == expected
-        assert brute_force_slot(inst).capacity == expected
+    def test_serves_up_to_the_capacity_cap(self):
+        # a nearly free, valuable backlog is served up to the cap
+        inst = make_instance([10.0], [1000], beta=1e-9, capacity_cap=100)
+        assert solve_slot(inst).capacity == 100
+        assert brute_force_slot(inst).capacity == 100
 
     def test_extreme_weight_to_price_ratio(self):
         # log2(x / (beta * (2^eta - 1))) is huge or the price underflows to 0;
@@ -276,7 +274,7 @@ class TestSolveSlot:
                 beta=beta,
                 eta=eta,
                 noise_equiv=1.0,
-                capacity_cap=rng.choice([1e4, rng.uniform(0.0, 60.0)]),
+                capacity_cap=rng.choice([10_000, math.floor(rng.uniform(0.0, 60.0))]),
             )
             fast, slow = solve_slot(inst), brute_force_slot(inst)
             assert (fast.capacity, fast.allocation, fast.objective) == (slow.capacity, slow.allocation, slow.objective), inst
@@ -288,9 +286,8 @@ class TestSolveSlot:
         sol = solve_slot(inst)
         assert sum(sol.allocation) == sol.capacity
         assert all(0 <= m <= q for m, q in zip(sol.allocation, inst.backlogs))
-        assert sol.capacity <= min(inst.total_backlog, int(inst.capacity_cap + 1e-9))
-        cap_power = power_for_capacity(inst.capacity_cap, inst.noise_equiv, inst.eta)
-        assert sol.power <= cap_power * (1 + 1e-12)
+        assert sol.capacity <= min(inst.total_backlog, inst.capacity_cap)
+        assert sol.power <= power_for_capacity(float(inst.capacity_cap), inst.noise_equiv, inst.eta)
         assert link_capacity(sol.power, inst.noise_equiv, inst.eta) == sol.capacity
 
     @settings(max_examples=60, deadline=None)
@@ -319,7 +316,7 @@ def test_oracle_equivalence_at_segment_boundaries():
         backlogs = [rng.choice([0, 0, rng.randint(1, 12)]) for _ in range(k)]
         order = sorted(range(k), key=lambda i: (-weights[i], i))
         prefix = list(itertools.accumulate((backlogs[i] for i in order), initial=0))
-        cap = rng.choice([1e4, float(rng.choice(prefix)), rng.choice(prefix) + 0.5])
+        cap = rng.choice([10_000, rng.choice(prefix), rng.choice(prefix) + 1])
         beta = rng.choice([0.0, 1e-9, 10.0 ** rng.uniform(-4.0, 1.0)])
         inst = make_instance(weights, backlogs, beta=beta, capacity_cap=cap)
         fast, slow = solve_slot(inst), brute_force_slot(inst)
@@ -345,16 +342,16 @@ def walk_back_instances(draw):
     wide = [i for i in range(k) if prefix[i + 1] - prefix[i] >= 2]
     cap = draw(st.sampled_from(["none", "mid-segment", "any"] if wide else ["none", "any"]))
     if cap == "none":
-        cap = 1e4
+        cap = 10_000
     elif cap == "mid-segment":
         # hi falls strictly inside a segment, not on a prefix entry
         i = draw(st.sampled_from(wide))
-        cap = draw(st.integers(min_value=prefix[i] + 1, max_value=prefix[i + 1] - 1)) + draw(st.floats(min_value=0.0, max_value=0.9))
+        cap = draw(st.integers(min_value=prefix[i] + 1, max_value=prefix[i + 1] - 1))
     else:
-        cap = draw(st.floats(min_value=0.0, max_value=300.0))
+        cap = draw(st.integers(min_value=0, max_value=300))
     # the last segment the walk reaches with no bound in the way: the one
     # holding packet hi, less any trailing segments of weight 0
-    hi = min(prefix[-1], math.floor(cap + 1e-9))
+    hi = min(prefix[-1], cap)
     reached = [i for i in range(k) if xs[i] > 0.0 and prefix[i] < hi]
     regime = draw(st.sampled_from(["zero", "underflowing", "tiny", "last bound within a packet", "a drawn bound within a packet", "any"]))
     if regime == "zero":
@@ -391,7 +388,7 @@ def serve_all_instances(draw):
     weights = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
     backlogs = draw(st.lists(st.one_of(st.just(0), st.integers(min_value=1, max_value=40)), min_size=k, max_size=k))
     total = sum(backlogs)
-    cap = total + draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=100.0)))
+    cap = total + draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=100)))
     # zero, underflowing or tiny: every bound lies thousands of packets past the backlog
     beta = draw(st.one_of(st.just(0.0), st.just(5e-324), st.floats(min_value=1e-300, max_value=1e-200)))
     return make_instance(weights, backlogs, beta=beta, capacity_cap=cap)
@@ -441,7 +438,7 @@ def test_slack_slot_takes_two_log2(monkeypatch):
 
 @pytest.mark.parametrize(
     "backlogs, beta, cap, serves_all",
-    [([20] * 6, 1e-3, 1e4, True), ([0] * 6, 1e-3, 1e4, True), ([20] * 6, 100.0, 1e4, False), ([20] * 6, 1e-3, 50.5, False)],
+    [([20] * 6, 1e-3, 10_000, True), ([0] * 6, 1e-3, 10_000, True), ([20] * 6, 100.0, 10_000, False), ([20] * 6, 1e-3, 50, False)],
     ids=["slack", "empty", "priced", "capped"],
 )
 def test_serve_all_skips_the_ordering(monkeypatch, backlogs, beta, cap, serves_all):
@@ -508,8 +505,25 @@ def test_walk_back_log2_count(monkeypatch, first_failing):
 
 class TestBruteForce:
     def test_scale_guard(self):
-        with pytest.raises(ValueError):
-            brute_force_slot(make_instance([1.0], [200_000], beta=1.0, capacity_cap=1e6))
+        # with no power price nothing stops the enumeration early, and at a
+        # small eta no power overflows before the candidate count passes the limit
+        with pytest.raises(ValueError, match="too large for enumeration"):
+            brute_force_slot(SlotInstance((1.0,), (200_000,), 0.0, 1e-3, 1.0, 1_000_000))
+
+    def test_stops_once_the_power_cost_exceeds_every_gain(self, monkeypatch):
+        # 2^(0.5 C) overflows at C = 2048, but the cost 2^(0.5 C) - 1 alone
+        # passes the most any C gains, M1(3000) = 3000, at C = 24: the oracle
+        # stops there and agrees with the threshold solve
+        inst = SlotInstance((1.0,), (3000,), 1.0, 0.5, 1.0, 10_000)
+        priced = []
+        m1 = solver._m1
+        monkeypatch.setattr(solver, "_m1", lambda c, xs, prefix: priced.append(c) or m1(c, xs, prefix))
+        slow = brute_force_slot(inst)
+        monkeypatch.undo()
+        assert slow == solve_slot(inst)
+        assert slow.capacity == 3
+        # M1(sum Q) once, then C = 1..23
+        assert len(priced) == 24
 
     def test_empty(self):
         assert brute_force_slot(make_instance([1.0], [0], beta=1.0)).capacity == 0
@@ -517,7 +531,7 @@ class TestBruteForce:
 
 @pytest.mark.parametrize(
     "inst",
-    [SlotInstance((1.0,), (3000,), 0.0, 0.5, 1.0, 1e4), SlotInstance((1.0,), (3000,), 1.0, 2000.0, 1.0, 1e4)],
+    [SlotInstance((1.0,), (3000,), 0.0, 0.5, 1.0, 10_000), SlotInstance((1.0,), (3000,), 1.0, 2000.0, 1.0, 10_000)],
     ids=["objective", "price-unit"],
 )
 def test_overflow_is_a_value_error(inst):
@@ -529,7 +543,7 @@ def test_overflow_is_a_value_error(inst):
 
 def test_priced_slot_below_the_overflow_still_solves():
     # the same backlog at a price that stops C at 3 packets, far from 2^1024
-    sol = solve_slot(SlotInstance((1.0,), (3000,), 1.0, 0.5, 1.0, 1e4))
+    sol = solve_slot(SlotInstance((1.0,), (3000,), 1.0, 0.5, 1.0, 10_000))
     assert sol == (3, 2.0**1.5 - 1.0, (3,), 3.0 - (2.0**1.5 - 1.0))
 
 
@@ -542,9 +556,13 @@ def test_instance_validation():
         make_instance([1.0], [-1])
     with pytest.raises(ValueError):
         make_instance([1.0], [1], beta=-1.0)
+    # the packet cap is a whole number, as `capacity_cap_profile` returns it
+    for cap in (2.5, 100.0, -1):
+        with pytest.raises(ValueError, match="capacity_cap must be finite and a non-negative integer"):
+            make_instance([1.0], [1], capacity_cap=cap)
 
 
-_VALID_FIELDS = dict(weights=(2.0, 1.0), backlogs=(3, 4), beta=0.5, eta=ETA, noise_equiv=1.0, capacity_cap=1e4)
+_VALID_FIELDS = dict(weights=(2.0, 1.0), backlogs=(3, 4), beta=0.5, eta=ETA, noise_equiv=1.0, capacity_cap=10_000)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -597,5 +615,5 @@ def test_decide_returns_a_list_allocation():
     state = SystemState([3, 4], [2.0, 1.0], 0.5)
     for name in ("proposed", "cpa-static"):
         policy = build_policy(name, 1.0, 36.0, [1.0])
-        _, allocation, _ = decide(policy, state, float(policy.power_cap[0]), 1.0, 1e4, ETA, 0.8)
+        _, allocation, _ = decide(policy, state, float(policy.power_cap[0]), 1.0, 10_000, ETA, 0.8)
         assert type(allocation) is list
