@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from railsched import solver
-from railsched.channel import power_for_capacity
+from railsched.channel import capacity_cap_profile, power_for_capacity
 from railsched.policies import build_policy, decide
 from railsched.queues import SystemState
 from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, service_order, solve_slot
@@ -234,6 +234,18 @@ class TestSolveSlot:
         inst = make_instance([10.0], [1000], beta=1e-9, capacity_cap=100)
         assert solve_slot(inst).capacity == 100
         assert brute_force_slot(inst).capacity == 100
+
+    @pytest.mark.parametrize("packets", [100.7], ids=["fractional"])
+    def test_capacity_cap_floor(self, packets):
+        # a power cap worth a fractional number of packets caps a nearly
+        # free, valuable backlog at the floor of that number
+        power_cap = power_for_capacity(packets, 1.0, ETA)
+        cap = int(capacity_cap_profile(np.array([1.0]), power_cap, ETA)[0])
+        assert cap == math.floor(packets)
+        inst = make_instance([10.0], [1000], beta=1e-9, capacity_cap=cap)
+        assert solve_slot(inst).capacity == math.floor(packets)
+        assert brute_force_slot(inst).capacity == math.floor(packets)
+        assert solve_slot(inst).power <= power_cap
 
     def test_extreme_weight_to_price_ratio(self):
         # log2(x / (beta * (2^eta - 1))) is huge or the price underflows to 0;
