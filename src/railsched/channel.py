@@ -20,16 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# No floor nudge is needed on a whole-number packet cap; kept for external callers.
-FLOOR_EPS = 1e-9
-
 # Exponent guard: 2^x with x above this is not representable in a double.
 MAX_EXPONENT = 1000.0
 
 
 def floor_eps(x: float) -> int:
-    """Floor with a small positive nudge, robust to round-off just below an integer."""
-    return math.floor(x + FLOOR_EPS)
+    """Floor with a 1e-9 nudge against round-off just below an integer; only the benchmark harness calls it."""
+    return math.floor(x + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -40,11 +37,6 @@ class Geometry:
     rail_offset: float  # d0, meters (perpendicular BS-to-track distance)
     speed: float  # v, meters/second
     slot_duration: float  # Ts, seconds
-
-    @property
-    def max_distance(self) -> float:
-        """Largest BS-receiver distance, reached midway between adjacent base stations."""
-        return math.hypot(self.cell_radius, self.rail_offset)
 
     @property
     def period_slots(self) -> int:

@@ -224,10 +224,9 @@ def replay_check(trace: Trace, config: ScenarioConfig) -> None:
     one the recursions produce, or whose drop count is not its own overflow.
     """
     traffic = config.traffic
-    lam_w = np.array([r * w for r, w in zip(traffic.arrival_rates, traffic.delay_bounds)])
     q_next = np.minimum(trace.queues[:-1] - trace.allocation[:-1] + trace.arrivals[:-1], traffic.buffer_cap)
     _require(np.any(q_next != trace.queues[1:], axis=1), "real-queue replay mismatch")
-    x_next = np.maximum(trace.virtual_delay[:-1] - lam_w, 0.0) + q_next
+    x_next = np.maximum(trace.virtual_delay[:-1] - np.array(traffic.delay_drains), 0.0) + q_next
     _require(np.any(x_next != trace.virtual_delay[1:], axis=1), "delay virtual-queue replay mismatch")
     y_next = np.maximum(trace.virtual_power[:-1] - traffic.avg_power, 0.0) + trace.power[:-1]
     _require(y_next != trace.virtual_power[1:], "power virtual-queue replay mismatch")

@@ -96,9 +96,8 @@ class ArrivalProcess:
 
     def __init__(self, rates: tuple[float, ...], master_seed: int):
         self.rates = tuple(float(r) for r in rates)
-        self.master_seed = int(master_seed)
         self._streams = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=self.master_seed, spawn_key=(k,))))
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=int(master_seed), spawn_key=(k,))))
             for k in range(len(self.rates))
         ]
         self._chunks: list[tuple[int, list[float]]] = []
@@ -147,18 +146,16 @@ def update_real_queue(state: SystemState, allocation, arrivals: list[int], param
     return drops
 
 
-def update_virtual_delay(state: SystemState, params: TrafficParams) -> SystemState:
+def update_virtual_delay(state: SystemState, params: TrafficParams) -> None:
     """X_k <- max(X_k - W_k * lambda_k, 0) + Q_k, with Q_k already advanced."""
     state.virtual_delay[:] = [
         (x - d if x > d else 0.0) + q for x, d, q in zip(state.virtual_delay, params.delay_drains, state.queues)
     ]
-    return state
 
 
-def update_virtual_power(state: SystemState, power: float, params: TrafficParams) -> SystemState:
+def update_virtual_power(state: SystemState, power: float, params: TrafficParams) -> None:
     """Y <- max(Y - avg_power, 0) + power."""
     if not power >= 0.0:
         raise ValueError("power must be non-negative")
     y, drain = state.virtual_power, params.avg_power
     state.virtual_power = (y - drain if y > drain else 0.0) + power
-    return state

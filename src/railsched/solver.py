@@ -53,7 +53,6 @@ path through `_m1`, as an independent check of that whole chain.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left
 from itertools import accumulate
 from typing import NamedTuple
@@ -79,7 +78,8 @@ class SlotInstance(_SlotFields):
     `weights` are the delay-pressure virtual queues X_k, `beta` is the
     aggregated power price omega * N * K * Y, and `capacity_cap` is the
     packet cap from `capacity_cap_profile`.  Every float must be finite,
-    `eta` and `noise_equiv` positive, each backlog and the cap an int >= 0.
+    `eta` and `noise_equiv` positive, each backlog and the cap a Python int
+    >= 0 (not a bool or a numpy integer, which would leak into the solution).
     """
 
     __slots__ = ()
@@ -101,7 +101,7 @@ class SlotInstance(_SlotFields):
             if not 0.0 <= w < math.inf:
                 raise ValueError(f"weights must be finite and non-negative, got {w!r}")
         for q in backlogs:
-            if not (type(q) is int or isinstance(q, numbers.Integral)) or q < 0:
+            if type(q) is not int or q < 0:
                 raise ValueError(f"backlogs must be non-negative integers, got {q!r}")
         if not 0.0 <= beta < math.inf:
             raise ValueError(f"beta must be finite and non-negative, got {beta!r}")
@@ -109,7 +109,7 @@ class SlotInstance(_SlotFields):
             raise ValueError(f"eta must be finite and positive, got {eta!r}")
         if not 0.0 < noise_equiv < math.inf:
             raise ValueError(f"noise_equiv must be finite and positive, got {noise_equiv!r}")
-        if not (type(capacity_cap) is int or isinstance(capacity_cap, numbers.Integral)) or capacity_cap < 0:
+        if type(capacity_cap) is not int or capacity_cap < 0:
             raise ValueError(f"capacity_cap must be finite and a non-negative integer, got {capacity_cap!r}")
         return tuple.__new__(cls, (weights, backlogs, beta, eta, noise_equiv, capacity_cap))
 
@@ -266,8 +266,9 @@ def brute_force_slot(inst: SlotInstance) -> SlotSolution:
     Shares only the greedy split `_fill` with `solve_slot`: M1 comes from
     the segment walk `_m1`, the power from `power_for_capacity`, with no
     threshold rule and no concavity assumption.  It stops at the first C
-    whose cost beta * (2^(eta*C) - 1) alone exceeds M1(sum Q), the most any
-    C gains: from there on every C scores below C = 0.
+    whose cost beta * (2^(eta*C) - 1) leaves M1(sum Q), the most any C
+    gains, no more than the best score so far: M1 and the cost do not
+    decrease in C, so from there on no C scores higher.
     """
     # The weights in descending order and the backlog prefix sums in that order.
     order = service_order(inst)
@@ -278,7 +279,7 @@ def brute_force_slot(inst: SlotInstance) -> SlotSolution:
     try:
         for c in range(1, hi + 1):
             cost = beta * (2.0 ** (eta * c) - 1.0)
-            if cost > gain:
+            if gain - cost <= best_val:
                 break
             if c > _BRUTE_FORCE_LIMIT:
                 raise ValueError(f"instance too large for enumeration (more than {_BRUTE_FORCE_LIMIT} candidates)")

@@ -1,19 +1,26 @@
 """Scalar reference formulas for the channel, the arrival draws and the slot objective.
 
 Each works on one slot or one value at a time; the tests compare the
-vectorised and one-pass production paths against them.
+vectorised and one-pass production paths against them.  The slot solve has
+two references: the gate's random instances, and the paper's own method,
+golden-section search over the relaxed M(C).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 
 from railsched.channel import Geometry, RadioParams, power_for_capacity
 from railsched.solver import SlotInstance, _m1, service_order
 
 # Tolerance for float capacities sitting exactly on the feasible boundary.
 FLOAT_SLACK = 1e-9
+
+# Golden-section search stops once its bracket is this narrow, in packets.
+GOLDEN_WIDTH = 1e-6
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def distance_at(slot: int, geom: Geometry) -> float:
@@ -91,3 +98,43 @@ def objective_value(capacity: float, inst: SlotInstance) -> float:
     if capacity < 0 or capacity > hi + FLOAT_SLACK:
         raise ValueError(f"capacity {capacity} outside [0, {hi}]")
     return m1_value(capacity, inst) - m2_value(capacity, inst)
+
+
+def golden_section_slot(inst: SlotInstance) -> int:
+    """The paper's slot solve: golden-section search, then the better integer neighbour.
+
+    M(C) is concave on [0, min(sum Q, capacity_cap)], so the search brackets
+    its maximum to `GOLDEN_WIDTH`; the integer optimum is then the floor or
+    the ceiling of the bracket's midpoint, compared on the float objective
+    with ties to the smaller C.  On a plateau of M (beta = 0, or zero
+    weights holding backlog) the bracket may close on any point of it.
+    """
+    hi = min(inst.total_backlog, inst.capacity_cap)
+    a, b = 0.0, float(hi)
+    c, d = b - _INV_PHI * b, _INV_PHI * b
+    fc, fd = objective_value(c, inst), objective_value(d, inst)
+    while b - a > GOLDEN_WIDTH:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = objective_value(c, inst)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = objective_value(d, inst)
+    mid = 0.5 * (a + b)
+    down, up = math.floor(mid), min(math.ceil(mid), hi)
+    return up if objective_value(float(up), inst) > objective_value(float(down), inst) else down
+
+
+def random_instance(rng: random.Random) -> SlotInstance:
+    """One draw of the acceptance gate's random slot instances."""
+    k = rng.randint(1, 8)
+    return SlotInstance(
+        weights=tuple(rng.uniform(0.0, 100.0) for _ in range(k)),
+        backlogs=tuple(rng.randint(0, 50) for _ in range(k)),
+        beta=10.0 ** rng.uniform(-6.0, 2.0),
+        eta=0.048,
+        noise_equiv=1e-3,
+        capacity_cap=math.floor(rng.uniform(0.0, 600.0)),
+    )

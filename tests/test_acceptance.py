@@ -21,7 +21,7 @@ from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, 
 from railsched.sweep import SweepSpec, read_sweep, run_sweep
 from railsched.traceio import write_trace
 
-from reference_formulas import noise_equiv, objective_value
+from reference_formulas import noise_equiv, objective_value, random_instance
 
 SEEDS = (1, 2, 3)
 HORIZON = 300_000
@@ -36,18 +36,6 @@ _timings: dict[str, float] = {}
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-def random_instance(rng: random.Random) -> SlotInstance:
-    k = rng.randint(1, 8)
-    return SlotInstance(
-        weights=tuple(rng.uniform(0.0, 100.0) for _ in range(k)),
-        backlogs=tuple(rng.randint(0, 50) for _ in range(k)),
-        beta=10.0 ** rng.uniform(-6.0, 2.0),
-        eta=0.048,
-        noise_equiv=1e-3,
-        capacity_cap=math.floor(rng.uniform(0.0, 600.0)),
-    )
 
 
 def test_criterion_1_solver_oracle_equivalence():
@@ -178,7 +166,7 @@ def _load_powers(config):
     geometry, radio = config.geometry, config.radio
     growth = 2.0 ** (config.radio.eta * sum(config.traffic.arrival_rates)) - 1.0
     noise = noise_profile(distance_profile(geometry.period_slots, geometry), radio)
-    return float(noise.mean()) * growth, noise_equiv(geometry.max_distance, radio) * growth
+    return float(noise.mean()) * growth, noise_equiv(math.hypot(geometry.cell_radius, geometry.rail_offset), radio) * growth
 
 
 @pytest.fixture(scope="module")

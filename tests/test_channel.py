@@ -47,7 +47,7 @@ class TestDistance:
     @given(st.integers(min_value=0, max_value=10**7))
     def test_image_stays_in_band(self, slot):
         d = distance_at(slot, GEOM)
-        assert GEOM.rail_offset <= d <= GEOM.max_distance * (1 + 1e-12)
+        assert GEOM.rail_offset <= d <= math.hypot(GEOM.cell_radius, GEOM.rail_offset) * (1 + 1e-12)
 
     @given(st.integers(min_value=0, max_value=10**5))
     def test_periodicity(self, slot):

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railsched import solver
+from railsched import policies, solver
 from railsched.channel import capacity_cap_profile, power_for_capacity
+from railsched.config import default_config, with_updates
+from railsched.engine import run
 from railsched.policies import build_policy, decide
 from railsched.queues import SystemState
 from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, service_order, solve_slot
 
-from reference_formulas import link_capacity, m1_value, m2_value, objective_value
+from reference_formulas import golden_section_slot, link_capacity, m1_value, m2_value, objective_value, random_instance
 
 ETA = 0.048
 ORACLE_RTOL = 1e-9  # the relative objective gap acceptance criterion 1 allows
@@ -406,6 +408,30 @@ def serve_all_instances(draw):
     return make_instance(weights, backlogs, beta=beta, capacity_cap=cap)
 
 
+@st.composite
+def large_instances(draw):
+    """Backlogs up to 10^4 and eta up to just below the 2^eta overflow, where both solvers may raise.
+
+    beta > 0 stops the oracle once no larger C can score higher, or at the
+    overflow, so it finishes.
+    """
+    k = draw(st.integers(min_value=1, max_value=6))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=100.0)), min_size=k, max_size=k))
+    backlogs = draw(st.lists(st.integers(min_value=0, max_value=10_000), min_size=k, max_size=k))
+    # 2^eta is finite for every eta below 1024, the largest double below it included
+    eta = draw(st.one_of(st.just(math.nextafter(1024.0, 0.0)), st.floats(min_value=math.log2(ETA), max_value=10.0, exclude_max=True).map(lambda u: 2.0**u)))
+    beta = draw(st.one_of(st.just(5e-324), st.floats(min_value=1e-300, max_value=1e300)))
+    cap = draw(st.integers(min_value=0, max_value=sum(backlogs) + 1))
+    return SlotInstance(tuple(weights), tuple(backlogs), beta, eta, 1.0, cap)
+
+
+def _solve_or_error(solve, inst):
+    try:
+        return solve(inst)
+    except ValueError as error:
+        return error
+
+
 def descending_fill(inst, capacity):
     """The greedy split by hand: services in descending X_k, ties by index, each up to its backlog."""
     mu = [0] * len(inst.backlogs)
@@ -416,14 +442,51 @@ def descending_fill(inst, capacity):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(walk_back_instances(), serve_all_instances()))
+@given(st.one_of(walk_back_instances(), serve_all_instances(), large_instances()))
 def test_walk_back_matches_oracle(inst):
-    fast, slow = solve_slot(inst), brute_force_slot(inst)
+    fast, slow = _solve_or_error(solve_slot, inst), _solve_or_error(brute_force_slot, inst)
+    if isinstance(slow, ValueError) or isinstance(fast, ValueError):
+        assert (type(fast), str(fast)) == (type(slow), str(slow)), inst
+        return
     assert fast.capacity == slow.capacity
     assert fast.allocation == slow.allocation
     assert abs(fast.objective - slow.objective) <= ORACLE_RTOL * max(1.0, abs(slow.objective))
     for capacity in (inst.total_backlog, slow.capacity):
         assert greedy_allocation(capacity, inst) == descending_fill(inst, capacity)
+
+
+def _matches_golden_section(inst):
+    """The paper's golden-section search finds solve_slot's C; on a plateau of M, its objective."""
+    c, solution = golden_section_slot(inst), solve_slot(inst)
+    if inst.beta * (2.0**inst.eta - 1.0) == 0.0 or any(w == 0.0 and q > 0 for w, q in zip(inst.weights, inst.backlogs)):
+        assert abs(objective_value(float(c), inst) - solution.objective) <= ORACLE_RTOL * max(1.0, abs(solution.objective)), inst
+    else:
+        assert c == solution.capacity, inst
+    return solution.capacity < inst.total_backlog
+
+
+def test_golden_section_matches_random_instances():
+    # the acceptance gate's criterion-1 draws
+    rng = random.Random(101)
+    for _ in range(2000):
+        _matches_golden_section(random_instance(rng))
+
+
+@pytest.mark.parametrize("updates, binds", [({}, False), ({"avg_power_w": 0.5}, True)], ids=["defaults", "avg_power_w=0.5"])
+def test_golden_section_matches_engine_slots(monkeypatch, updates, binds):
+    captured = []
+
+    def record(inst):
+        captured.append(inst)
+        return solve_slot(inst)
+
+    monkeypatch.setattr(policies, "solve_slot", record)
+    run(with_updates(default_config(), horizon=12_000, **updates), record_trace=False)
+    monkeypatch.undo()
+    assert len(captured) == 12_000
+    left_backlog = sum(_matches_golden_section(inst) for inst in captured[::3])
+    # at 0.5 W the power price keeps packets waiting from about slot 8800 on
+    assert not binds or left_backlog >= 500, left_backlog
 
 
 def _count_log2(monkeypatch):
@@ -537,6 +600,14 @@ class TestBruteForce:
         # M1(sum Q) once, then C = 1..23
         assert len(priced) == 24
 
+    def test_stops_once_no_gain_is_left(self):
+        # from C = 2 on the power cost, though far below M1(sum Q), leaves no
+        # gain over C = 1 in floats, and 2^(256 C) overflows at C = 4: the
+        # oracle stops at C = 2 and agrees with the threshold solve
+        inst = SlotInstance((0.0, 1.0, 0.0, 0.0, 0.0), (0, 1, 0, 0, 3), 5e-324, 256.0, 1.0, 4)
+        assert brute_force_slot(inst) == solve_slot(inst)
+        assert solve_slot(inst).capacity == 1
+
     def test_empty(self):
         assert brute_force_slot(make_instance([1.0], [0], beta=1.0)).capacity == 0
 
@@ -593,9 +664,20 @@ def test_instance_rejects_non_integer_backlog(value):
         SlotInstance(**dict(_VALID_FIELDS, backlogs=(value, 3)))
 
 
-def test_instance_takes_numpy_integer_backlogs():
-    inst = SlotInstance(**dict(_VALID_FIELDS, backlogs=(np.int64(3), np.int32(4))))
-    assert solve_slot(inst) == solve_slot(SlotInstance(**_VALID_FIELDS))
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("capacity_cap", np.int64(50), "capacity_cap must be finite and a non-negative integer"),
+        ("backlogs", (np.int32(3), 4), "backlogs must be non-negative integers"),
+        ("backlogs", (True, 4), "backlogs must be non-negative integers"),
+    ],
+    ids=["numpy-cap", "numpy-backlog", "bool-backlog"],
+)
+def test_instance_takes_only_python_ints(field, value, message):
+    # a numpy cap once made solve_slot price C with numpy's power and return
+    # numpy scalars; a True backlog came back as True in the allocation
+    with pytest.raises(ValueError, match=message):
+        SlotInstance(**dict(_VALID_FIELDS, **{field: value}))
 
 
 @pytest.mark.parametrize("field", ["eta", "noise_equiv"])
