@@ -20,10 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Exponent guard: 2^x with x above this is not representable in a double.
-MAX_EXPONENT = 1000.0
-
-
 def floor_eps(x: float) -> int:
     """Floor with a 1e-9 nudge against round-off just below an integer; only the benchmark harness calls it."""
     return math.floor(x + 1e-9)
@@ -75,15 +71,21 @@ def noise_profile(distances: np.ndarray, radio: RadioParams) -> np.ndarray:
 
 
 def power_for_capacity(capacity: float, noise: float, eta: float) -> float:
-    """Exact inverse of the un-floored capacity curve: P = N * (2^(eta*C) - 1)."""
+    """Exact inverse of the un-floored capacity curve: P = N * (2^(eta*C) - 1).
+
+    A power that is not a finite double is a ValueError.
+    """
     if not capacity >= 0:
         raise ValueError(f"capacity must be non-negative, got {capacity!r}")
     if capacity == 0.0:
         return 0.0
-    exponent = eta * capacity
-    if exponent > MAX_EXPONENT:
+    try:
+        power = noise * (2.0 ** (eta * capacity) - 1.0)
+    except OverflowError:
+        power = math.inf
+    if power == math.inf:
         raise ValueError(f"capacity {capacity} exceeds the representable power range")
-    return noise * (2.0**exponent - 1.0)
+    return power
 
 
 def capacity_cap_profile(noises: np.ndarray, power_cap, eta: float) -> np.ndarray:

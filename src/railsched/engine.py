@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import capacity_cap_profile, distance_profile, noise_profile
 from .config import ScenarioConfig
-from .policies import POWER_CAP_RTOL, build_policy, decide
+from .policies import build_policy, decide
 from .queues import ArrivalProcess, SystemState, update_real_queue, update_virtual_delay, update_virtual_power
 from .solver import SlotInstance, brute_force_slot
 
@@ -109,8 +109,7 @@ def run(
         )
 
     state = SystemState.initial(num_services)
-    power_limit = radio.max_power * (1.0 + POWER_CAP_RTOL)
-    eta, omega = radio.eta, config.omega
+    max_power, eta, omega = radio.max_power, radio.eta, config.omega
     # Zero-copy views whose items are Python floats, so the slot arithmetic
     # never touches numpy scalars.
     power_cap_at = memoryview(policy.power_cap)
@@ -130,8 +129,8 @@ def run(
             power, allocation, capacity = decide(policy, state, power_cap_at[t], noise_at[t], cap_at[t], eta, omega)
             served = sum(allocation)
 
-            if power > power_limit:
-                raise RuntimeError(f"slot {t}: power {power} exceeds the {radio.max_power} W cap")
+            if power > max_power:
+                raise RuntimeError(f"slot {t}: power {power} exceeds the {max_power} W cap")
             if served > capacity:
                 raise RuntimeError(f"slot {t}: served {served} exceeds link capacity {capacity}")
 
@@ -202,6 +201,7 @@ def summarize(trace: Trace, config: ScenarioConfig) -> SimSummary:
     """Recompute the run summary from a trace."""
     if len(trace) == 0:
         raise ValueError("cannot summarize an empty trace")
+    _check_services(trace, config)
     traffic = config.traffic
     queues, arrivals = trace.queues, trace.arrivals
 
@@ -223,6 +223,7 @@ def replay_check(trace: Trace, config: ScenarioConfig) -> None:
     Raises AssertionError on the first slot whose successor row is not the
     one the recursions produce, or whose drop count is not its own overflow.
     """
+    _check_services(trace, config)
     traffic = config.traffic
     q_next = np.minimum(trace.queues[:-1] - trace.allocation[:-1] + trace.arrivals[:-1], traffic.buffer_cap)
     _require(np.any(q_next != trace.queues[1:], axis=1), "real-queue replay mismatch")
@@ -253,6 +254,7 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
     horizon, num_services = len(trace), trace.num_services
     if horizon != config.horizon:
         raise ValueError(f"trace has {horizon} slots but the scenario's horizon is {config.horizon}")
+    _check_services(trace, config)
     radio, traffic, eta = config.radio, config.traffic, config.radio.eta
     noises = noise_profile(distance_profile(horizon, config.geometry), radio)
     _require(trace.noise != noises, "recorded noise is not the scenario's N(t)")
@@ -292,6 +294,12 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
     _require(trace.power != power, "recorded power is not the policy's")
     _require(trace.served != served, "recorded packets served are not the policy's")
     _require(np.any(trace.allocation != allocation, axis=1), "recorded split is not the greedy one")
+
+
+def _check_services(trace: Trace, config: ScenarioConfig) -> None:
+    """A trace is read against the scenario's per-service values, so the counts must match."""
+    if trace.num_services != config.traffic.num_services:
+        raise ValueError(f"trace has {trace.num_services} services but the scenario has {config.traffic.num_services}")
 
 
 def _require(bad: np.ndarray, message: str) -> None:

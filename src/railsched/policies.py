@@ -24,9 +24,6 @@ from .solver import SlotInstance, greedy_allocation, solve_slot
 # Static power profiles must land their time average on the budget this tightly.
 _WFPA_BUDGET_RTOL = 1e-8
 
-# Round-off slack on a power profile against `max_power` (shared with the engine).
-POWER_CAP_RTOL = 1e-9
-
 POLICY_NAMES = ("proposed", "cpa-static", "wfpa-static", "cpa-dynamic", "wfpa-dynamic")
 
 
@@ -104,8 +101,10 @@ def build_policy(name: str, avg_power: float, max_power: float, noise_trajectory
     else:
         power_cap = cpa_profile(avg_power, len(noise_trajectory))
     # NaN fails both comparisons, so a non-finite cap is rejected here too.
-    if power_cap.size and not (power_cap.min() >= 0.0 and power_cap.max() <= max_power * (1.0 + POWER_CAP_RTOL)):
-        raise ValueError(f"{name} power cap spans [{power_cap.min():.6g}, {power_cap.max():.6g}] W, outside [0, {max_power}] W")
+    # The span prints in full (repr), so a cap one ulp above max_power shows.
+    if power_cap.size and not (power_cap.min() >= 0.0 and power_cap.max() <= max_power):
+        low, high = float(power_cap.min()), float(power_cap.max())
+        raise ValueError(f"{name} power cap spans [{low!r}, {high!r}] W, outside [0, {max_power!r}] W")
     return Policy(name, power_cap, static=name.endswith("-static"))
 
 

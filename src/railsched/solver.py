@@ -57,7 +57,7 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import NamedTuple
 
-from .channel import MAX_EXPONENT, power_for_capacity
+from .channel import power_for_capacity
 
 # Brute-force enumeration refuses instances that would price more candidates than this.
 _BRUTE_FORCE_LIMIT = 100_000
@@ -249,15 +249,16 @@ def solve_slot(inst: SlotInstance) -> SlotSolution:
                     break
                 c, objective = n, down
     except OverflowError:
-        # 2^eta or some 2^(eta*n) overflowed before the range check below.
+        # 2^eta or some 2^(eta*n) is not a double.
         raise ValueError(f"capacity up to {hi} at eta {eta} exceeds the representable power range") from None
 
-    exponent = eta * c
-    if exponent > MAX_EXPONENT:
+    # 2^(eta*c) was priced above, so only the product with N can leave the doubles.
+    power = noise_equiv * (2.0 ** (eta * c) - 1.0)
+    if power == math.inf:
         raise ValueError(f"capacity {float(c)} exceeds the representable power range")
     # Serving the whole backlog gives every service its Q_k, whatever the order.
     allocation = backlogs if c == total else tuple(_fill(c, backlogs, order))
-    return SlotSolution(c, noise_equiv * (2.0**exponent - 1.0), allocation, objective)
+    return SlotSolution(c, power, allocation, objective)
 
 
 def brute_force_slot(inst: SlotInstance) -> SlotSolution:

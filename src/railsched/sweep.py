@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, with_updates
 from .engine import SimSummary, Trace, run
-from .traceio import _finite, _flag, _fmt, _named_decode_errors, _parse
+from .traceio import _fmt, _named_decode_errors
 
 # Each sweep parameter and the config key it sets.
 SWEEP_PARAMETERS = {"omega": "omega", "lambda": "arrival_rate_pkts", "pmax": "max_power_w"}
@@ -151,6 +151,27 @@ def _store_result(row: SweepRow, result) -> bool:
 def _fill_row(row: SweepRow, summary: SimSummary) -> None:
     row.avg_power, row.avg_delay, row.power_ok = summary.avg_power, summary.avg_delay, summary.power_ok
     row.mean_delay, row.delay_ok, row.status = float(np.mean(summary.avg_delay)), all(summary.delay_ok), "ok"
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
+def _flag(raw: str) -> bool:
+    if raw not in ("0", "1"):
+        raise ValueError(f"{raw!r} is not 0 or 1")
+    return raw == "1"
+
+
+def _parse(path, where: str, convert, raw: str):
+    """`convert(raw)`, with a ValueError naming the file and `where` in the text."""
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {where}: {exc}") from None
 
 
 def _sweep_schema(number=float) -> tuple:

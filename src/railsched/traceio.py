@@ -1,12 +1,12 @@
-"""Loss-free text serialization for traces and run summaries.
+"""Loss-free text serialization for traces, and the run summary file.
 
 Traces are comma-delimited with one row per slot and a fixed column order:
 t, d, N, P, C, served, then A/mu/Q/X per service, then Y and the slot's
-total drops (6 + 4K + 2 columns).  Summaries are `field = value` lines.
-Each file's fields are listed once, in a table below that both the writer
-and the reader follow.  Floats are written with 17 significant digits so
-parsing returns the exact double and a write/read/write cycle is
-byte-identical.
+total drops (6 + 4K + 2 columns), listed once in a table below that both
+the writer and the reader follow.  Summaries are `field = value` lines,
+written for people and other tools; nothing here reads them back.  Floats
+are written with 17 significant digits so parsing returns the exact double
+and a write/read/write cycle is byte-identical.
 """
 
 from __future__ import annotations
@@ -144,75 +144,12 @@ def _check_rows(path, schema: list[tuple[str, str, bool, int | None]], k_count: 
 
 def write_summary(summary: SimSummary, path: str | Path) -> None:
     lines = []
-    for name, _, per_service in _SUMMARY_FIELDS:
+    for name in _SUMMARY_FIELDS:
         value = getattr(summary, name)
-        lines.append(f"{name} = {','.join(map(_fmt, value if per_service else (value,)))}")
+        lines.append(f"{name} = {','.join(map(_fmt, value if isinstance(value, tuple) else (value,)))}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _finite(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{raw!r} is not finite")
-    return value
-
-
-def _flag(raw: str) -> bool:
-    if raw not in ("0", "1"):
-        raise ValueError(f"{raw!r} is not 0 or 1")
-    return raw == "1"
-
-
-# The summary file's `field = value` lines in order: the SimSummary field,
-# the parser of one value, and whether it holds one value per service.
-_SUMMARY_FIELDS = (
-    ("horizon", int, False),
-    ("avg_power", _finite, False),
-    ("avg_backlog", _finite, True),
-    ("avg_delay", _finite, True),
-    ("empirical_rates", _finite, True),
-    ("delay_ok", _flag, True),
-    ("power_ok", _flag, False),
-    ("total_drops", int, True),
-)
-
-
-def _parse(path, where: str, convert, raw: str):
-    """`convert(raw)`, with a ValueError naming the file and `where` in the text."""
-    try:
-        return convert(raw)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {where}: {exc}") from None
-
-
-def read_summary(path: str | Path) -> SimSummary:
-    """Parse a summary file; a malformed one raises ValueError naming the file and the field.
-
-    Every line is `key = value`.  Floats must be finite, flags 0 or 1, and
-    every per-service vector as long as `avg_backlog`.
-    """
-    with _named_decode_errors(path):
-        text = Path(path).read_text(encoding="utf-8")
-    fields: dict[str, str] = {}
-    for number, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            key, sep, raw = line.partition(" = ")
-            if not sep:
-                raise ValueError(f"{path}: line {number} is not 'key = value'")
-            fields[key] = raw
-
-    def parse(key: str, convert, length: int | None) -> tuple:
-        if key not in fields:
-            raise ValueError(f"{path}: summary file missing field {key!r}")
-        values = _parse(path, f"field {key}", lambda raw: tuple(map(convert, raw.split(","))), fields[key])
-        if length is not None and len(values) != length:
-            raise ValueError(f"{path}: field {key} has {len(values)} values, expected {length}")
-        return values
-
-    # avg_backlog, read first, sets the per-service vector length.
-    k_count = len(parse("avg_backlog", _finite, None))
-    parsed = {}
-    for name, convert, per_service in _SUMMARY_FIELDS:
-        values = parse(name, convert, k_count if per_service else 1)
-        parsed[name] = values if per_service else values[0]
-    return SimSummary(**parsed)
+# The summary file's SimSummary fields in order; a tuple field is written
+# one value per service, comma-separated.
+_SUMMARY_FIELDS = ("horizon", "avg_power", "avg_backlog", "avg_delay", "empirical_rates", "delay_ok", "power_ok", "total_drops")

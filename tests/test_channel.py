@@ -137,6 +137,14 @@ class TestPowerForCapacity:
         with pytest.raises(ValueError):
             power_for_capacity(1e9, NOISE_CENTER, 0.048)
 
+    def test_exact_up_to_the_largest_double(self):
+        # 2^1010 and 2^1023 are doubles; 2^1024 and 4 * 2^1023 are not
+        assert power_for_capacity(1010.0, 1.0, 1.0) == 2.0**1010
+        assert power_for_capacity(1023.0, 1.0, 1.0) == 2.0**1023
+        for capacity, noise in ((1024.0, 1.0), (1023.0, 4.0), (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="exceeds the representable power range"):
+                power_for_capacity(capacity, noise, 1.0)
+
 
 class TestCapacityCap:
     def test_zero_max_power(self):

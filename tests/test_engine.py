@@ -46,7 +46,7 @@ class TestRun:
         config = small_config(horizon=800)
         trace, summary = run(config, policy=policy)
         replay_check(trace, config)
-        assert np.all(trace.power <= config.radio.max_power * (1 + 1e-9))
+        assert np.all(trace.power <= config.radio.max_power)
         assert np.all(trace.served <= trace.capacity)
         assert np.all(trace.allocation.sum(axis=1) == trace.served)
 
@@ -258,6 +258,27 @@ def test_audit_checks_the_named_policy():
         audit_decisions(trace, config, "cpa-dynamic")
     with pytest.raises(ValueError, match="horizon"):
         audit_decisions(trace, small_config(horizon=100), "proposed")
+
+
+@pytest.fixture(scope="module")
+def six_service_run():
+    config = small_config(horizon=200, seed=1)
+    trace, _ = run(config)
+    return config, trace
+
+
+@pytest.mark.parametrize("num_services", [1, 2])
+@pytest.mark.parametrize(
+    "check",
+    [summarize, replay_check, lambda trace, config: audit_decisions(trace, config, "proposed")],
+    ids=["summarize", "replay_check", "audit_decisions"],
+)
+def test_checks_reject_another_service_count(six_service_run, check, num_services):
+    # each check zips or broadcasts the scenario's per-service values against
+    # the trace's K services, so a K=1 drain would broadcast and pass
+    config, trace = six_service_run
+    with pytest.raises(ValueError, match=f"^trace has 6 services but the scenario has {num_services}$"):
+        check(trace, with_updates(config, num_services=num_services))
 
 
 def test_run_rejects_bad_horizon():

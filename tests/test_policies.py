@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +158,14 @@ class TestBuildPolicy:
         noise = np.array([0.1, 30.0, 30.0, 30.0])
         with pytest.raises(ValueError):
             build_policy("wfpa-static", avg_power=36.0, max_power=36.0, noise_trajectory=noise)
+
+    def test_cap_one_ulp_above_max_power_rejected(self):
+        # the cap is checked exactly, and the message shows the excess in full
+        above = math.nextafter(50.0, math.inf)
+        message = f"cpa-static power cap spans [{above!r}, {above!r}] W, outside [0, 50.0] W"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_policy("cpa-static", above, 50.0, np.ones(4))
+        assert np.all(build_policy("cpa-static", 50.0, 50.0, np.ones(4)).power_cap == 50.0)
 
 
 def _state(queues, weights, y=0.0):

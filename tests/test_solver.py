@@ -614,14 +614,27 @@ class TestBruteForce:
 
 @pytest.mark.parametrize(
     "inst",
-    [SlotInstance((1.0,), (3000,), 0.0, 0.5, 1.0, 10_000), SlotInstance((1.0,), (3000,), 1.0, 2000.0, 1.0, 10_000)],
-    ids=["objective", "price-unit"],
+    [
+        SlotInstance((1.0,), (3000,), 0.0, 0.5, 1.0, 10_000),
+        SlotInstance((1.0,), (3000,), 1.0, 2000.0, 1.0, 10_000),
+        SlotInstance((1.0,), (1023,), 0.0, 1.0, 4.0, 2000),
+    ],
+    ids=["objective", "price-unit", "power"],
 )
 def test_overflow_is_a_value_error(inst):
-    # 2^1500 and 2^2000 overflow a double before the solver's own range check
+    # 2^1500 and 2^2000 overflow a double while C is searched; 2^1023 is a
+    # double, but the power 4 * 2^1023 is not
     for solve in (solve_slot, brute_force_slot):
         with pytest.raises(ValueError, match="exceeds the representable power range"):
             solve(inst)
+
+
+def test_powers_up_to_the_largest_double_solve():
+    # 2^1010 is a double: both solvers carry all 1010 packets and price them
+    inst = SlotInstance((1.0,), (1010,), 0.0, 1.0, 1.0, 2000)
+    for solve in (solve_slot, brute_force_slot):
+        sol = solve(inst)
+        assert (sol.capacity, sol.power) == (1010, 2.0**1010 - 1.0)
 
 
 def test_priced_slot_below_the_overflow_still_solves():

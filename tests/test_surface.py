@@ -1,12 +1,14 @@
-"""The package surface: the root's names, and the names the benchmark harness and the scripts take.
+"""The package surface: the root's names, the names the benchmark harness and the scripts take, and the `_` names modules share.
 
 A rename of any of them breaks `bench/`; `bench/smoke.py` notices only
 through a slow subprocess, these checks in process.
 """
 
+import ast
 import importlib
 import types
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +78,17 @@ def test_harness_and_script_names_resolve(module, names):
     loaded = importlib.import_module(module)
     for name in names:
         attrgetter(name)(loaded)
+
+
+# The `_` helpers one package module takes from another, as (importer, source, name).
+PRIVATE_IMPORTS = {("sweep", "traceio", "_fmt"), ("sweep", "traceio", "_named_decode_errors")}
+
+
+def test_private_names_shared_between_modules():
+    package = Path(railsched.__file__).parent
+    shared = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                shared |= {(path.stem, node.module, alias.name) for alias in node.names if alias.name.startswith("_")}
+    assert shared == PRIVATE_IMPORTS
