@@ -73,8 +73,13 @@ def noise_profile(distances: np.ndarray, radio: RadioParams) -> np.ndarray:
 def power_for_capacity(capacity: float, noise: float, eta: float) -> float:
     """Exact inverse of the un-floored capacity curve: P = N * (2^(eta*C) - 1).
 
-    A power that is not a finite double is a ValueError.
+    A noise or eta that is not finite and positive, a capacity that is not
+    non-negative and a power that is not a finite double are ValueErrors.
     """
+    if not 0.0 < noise < math.inf:
+        raise ValueError(f"noise must be finite and positive, got {noise!r}")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta!r}")
     if not capacity >= 0:
         raise ValueError(f"capacity must be non-negative, got {capacity!r}")
     if capacity == 0.0:

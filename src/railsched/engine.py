@@ -135,8 +135,14 @@ def run(
                 raise RuntimeError(f"slot {t}: served {served} exceeds link capacity {capacity}")
 
             if record_trace:
-                floats += (power, state.virtual_power, *state.virtual_delay)
-                ints += (capacity, served, *allocation, *state.queues)
+                # Appends and list extends; a starred tuple per slot costs more.
+                floats.append(power)
+                floats.append(state.virtual_power)
+                floats += state.virtual_delay
+                ints.append(capacity)
+                ints.append(served)
+                ints += allocation
+                ints += state.queues
 
             power_sum += power
             backlog_sum = list(map(add, backlog_sum, state.queues))

@@ -133,6 +133,19 @@ class TestPowerForCapacity:
         with pytest.raises(ValueError, match="capacity must be non-negative, got nan"):
             power_for_capacity(math.nan, 1.0, 0.048)
 
+    @pytest.mark.parametrize("noise", [math.nan, -1.0, 0.0, -0.0, math.inf, -math.inf])
+    def test_rejects_bad_noise(self, noise):
+        # Checked before the capacity, so an infinite noise is not blamed on it.
+        with pytest.raises(ValueError, match=f"^noise must be finite and positive, got {noise!r}$"):
+            power_for_capacity(1.0, noise, 0.048)
+        with pytest.raises(ValueError, match="^noise must be"):
+            power_for_capacity(0.0, noise, 0.048)
+
+    @pytest.mark.parametrize("eta", [math.nan, -5.0, 0.0, math.inf])
+    def test_rejects_bad_eta(self, eta):
+        with pytest.raises(ValueError, match=f"^eta must be finite and positive, got {eta!r}$"):
+            power_for_capacity(1.0, 1.0, eta)
+
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             power_for_capacity(1e9, NOISE_CENTER, 0.048)

@@ -4,13 +4,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from railsched.cli import main
 from railsched.config import _RULES, DEFAULTS, ConfigError, default_config, load_config, with_updates
 from railsched.engine import SimSummary, Trace, replay_check, run
-from railsched.traceio import _fmt, _trace_schema, read_trace, trace_columns, write_summary, write_trace
+from railsched.traceio import _WRITE_CHUNK_ROWS, _fmt, _trace_schema, read_trace, trace_columns, write_summary, write_trace
 
 
 class TestDefaults:
@@ -348,6 +348,39 @@ class TestTraceRoundTrip:
                 fields[name] = np.array(values, dtype=np.int64 if integer else np.float64).reshape(shape)
         trace = Trace(**fields)
         path = tmp_path_factory.getbasetemp() / "any_values.csv"
+        write_trace(trace, path)
+        assert path.read_text() == reference_trace_text(trace)
+
+    # No shrinking: each example renders over 2048 rows, and shrinking a
+    # failure took minutes; the failing draws are reported as found.
+    @settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.data())
+    def test_writer_matches_reference_across_chunks(self, tmp_path_factory, data):
+        # Two write chunks per column: the first filled with one whole value in
+        # [0, 2**53), which the writer may print with %d, the second with one
+        # fraction.  A few drawn values land anywhere, among them the doubles
+        # whose %d and %.17g texts differ: -0.0, 1e17 and larger, fractions.
+        rows, k_count = _WRITE_CHUNK_ROWS + data.draw(st.integers(1, 40)), data.draw(st.integers(1, 2))
+        edge = st.sampled_from([-0.0, -3.0, 0.5, 2.0**53 - 2, 2.0**53, 2.0**53 + 2, 1e16, 1e17, 5e-324, 2.0**-1030])
+        anywhere = st.one_of(edge, st.integers(0, 2**53 - 1).map(float), st.floats(allow_nan=False, allow_infinity=False))
+        fraction = st.floats(-1e15, 1e15).filter(lambda v: not v.is_integer())
+        ints = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+        fields = {}
+        for _, name, integer, k in _trace_schema(k_count):
+            if name in fields:
+                continue
+            shape = (rows,) if k is None else (rows, k_count)
+            if integer:
+                values = np.full(shape, data.draw(ints), dtype=np.int64)
+            else:
+                values = np.empty(shape)
+                values[:_WRITE_CHUNK_ROWS] = float(data.draw(st.integers(0, 2**53 - 1)))
+                values[_WRITE_CHUNK_ROWS:] = data.draw(fraction)
+            for row, value in data.draw(st.lists(st.tuples(st.integers(0, rows - 1), ints if integer else anywhere), max_size=4)):
+                values.reshape(rows, -1)[row, data.draw(st.integers(0, values.size // rows - 1))] = value
+            fields[name] = values
+        trace = Trace(**fields)
+        path = tmp_path_factory.getbasetemp() / "two_chunks.csv"
         write_trace(trace, path)
         assert path.read_text() == reference_trace_text(trace)
 

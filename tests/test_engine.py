@@ -7,7 +7,7 @@ import pytest
 from railsched.config import default_config, load_config, with_updates
 from railsched.engine import Trace, audit_decisions, replay_check, run, summarize
 from railsched.policies import POLICY_NAMES
-from railsched.traceio import _trace_schema, write_summary, write_trace
+from railsched.traceio import _WRITE_CHUNK_ROWS, _trace_schema, write_summary, write_trace
 
 BASE = default_config()
 
@@ -299,6 +299,8 @@ PINNED_SCENARIOS = {
     "avg_power=0.5": {"horizon": 3000, "avg_power_w": 0.5},
     "binding": {"horizon": 12_000, "avg_power_w": 0.5},
     "dropping": {"horizon": 12_000, "avg_power_w": 0.5, "buffer_cap_pkts": 300},
+    # A drain of 20.5 * 15 = 307.5 packets makes X fractional once a queue empties.
+    "fractional-drain": {"horizon": 12_000, "avg_power_w": 0.5, "arrival_rate_pkts": 20.5},
 }
 
 # SHA-256 of (trace.csv, summary.txt) by scenario and policy.
@@ -383,6 +385,26 @@ PINNED_OUTPUTS = {
         "879fb202af5d1061ac1e6e1ff62add9809a724cb4d0b38bb45451643a6e9a33f",
         "fee72378f3860daebed2950d64bdd31cdb7ec23a3f998bc3fad81072c8bb0bee",
     ),
+    ("fractional-drain", "cpa-dynamic"): (
+        "5d2e91626a204db492f32d4761484d42ec9ab53f49ac0a81336cecde6977b978",
+        "0b2d4011bcbd4674a8e29334b8e7cccf11bd37f04e345b5d3c82926f227845c9",
+    ),
+    ("fractional-drain", "cpa-static"): (
+        "cd53d286aa76994758c0e818d2a1781c7b681cb790aad0b724cf255890d99204",
+        "5a0632557f723cbc1a9f226ead728341c563053c2eb61ab5138961d1556fe18b",
+    ),
+    ("fractional-drain", "proposed"): (
+        "c05ec4cd5d899ba6e2756f08469491b9d15f8ff5e5160bfcadfa71ee9c460d41",
+        "1378120619766e566dda428d3a90cc535dc1a63e61345777a98f922308c04a48",
+    ),
+    ("fractional-drain", "wfpa-dynamic"): (
+        "15089a3bea14a79d27581ce7d5c55dccfede67b4f8f1b0b58b08672266d8f8f8",
+        "c22ebb6010148e203528f01ffb183a40f2240e3b5d719b1f1adc7506d4a876be",
+    ),
+    ("fractional-drain", "wfpa-static"): (
+        "b54363a5b9045ac1d3e70c3eabf00ed4fa2b646ae00ba3add3d25d28994a0f5d",
+        "1ac554c626fd68055387b04198ac491c13186e9c5d882979870c97b8b6be8f63",
+    ),
 }
 
 
@@ -395,14 +417,19 @@ def test_outputs_pinned(tmp_path, scenario, policy):
     objects, and with the row-by-row trace writer, before either was
     replaced; the binding scenario's with the engine that still kept a
     separate code path per policy kind; the dropping scenario's with the
-    engine that still summed admitted packets and drops slot by slot.  A
-    change that alters any decision or any written byte fails here, and
-    every recorded decision must be the policy's own.
+    engine that still summed admitted packets and drops slot by slot; the
+    fractional-drain scenario's with the writer that printed every float
+    column with %.17g.  A change that alters any decision or any written
+    byte fails here, and every recorded decision must be the policy's own.
     """
     config = load_config(None, seed=1, **PINNED_SCENARIOS[scenario])
     trace, summary = run(config, policy=policy)
     if scenario == "dropping":
         assert sum(summary.total_drops) > 0
+    if scenario == "fractional-drain":
+        # X is whole in some write chunks (printed with %d) and not in others.
+        chunks = np.split(trace.virtual_delay, range(_WRITE_CHUNK_ROWS, len(trace), _WRITE_CHUNK_ROWS))
+        assert {bool(np.all(chunk == np.trunc(chunk))) for chunk in chunks} == {True, False}
     audit_decisions(trace, config, policy)
     write_trace(trace, tmp_path / "trace.csv")
     write_summary(summary, tmp_path / "summary.txt")
