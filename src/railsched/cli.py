@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .engine import run
-from .sweep import FIGURES, SWEEP_PARAMETERS, SweepSpec, emit_plotdata, read_sweep, run_sweep, write_sweep
+from .sweep import FIGURES, SWEEP_PARAMETERS, SweepSpec, read_sweep, run_sweep, write_cell_period, write_sweep, write_tradeoff
 from .traceio import read_trace, write_summary, write_trace
 
 EXIT_OK = 0
@@ -98,10 +98,9 @@ def _cmd_plotdata(args) -> int:
     out = args.out / f"{args.figure}.csv"
     args.out.mkdir(parents=True, exist_ok=True)
     if args.figure == "fig3":
-        source = read_trace(args.source)
+        write_cell_period(read_trace(args.source), config, out, window_start=args.window_start)
     else:
-        source = read_sweep(args.source)
-    emit_plotdata(source, args.figure, out, config=config, window_start=args.window_start)
+        write_tradeoff(read_sweep(args.source), args.figure, out, config=config)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -227,10 +227,13 @@ def replay_check(trace: Trace, config: ScenarioConfig) -> None:
     """Verify every stored transition against the update equations, exactly.
 
     Raises AssertionError on the first slot whose successor row is not the
-    one the recursions produce, or whose drop count is not its own overflow.
+    one the recursions produce, whose slot number is not its row number, or
+    whose served or drop count is not the sum of its own split or overflow.
     """
     _check_services(trace, config)
     traffic = config.traffic
+    _require(trace.slot != np.arange(len(trace)), "slot-number replay mismatch")
+    _require(trace.served != trace.allocation.sum(axis=1), "served-count replay mismatch")
     q_next = np.minimum(trace.queues[:-1] - trace.allocation[:-1] + trace.arrivals[:-1], traffic.buffer_cap)
     _require(np.any(q_next != trace.queues[1:], axis=1), "real-queue replay mismatch")
     x_next = np.maximum(trace.virtual_delay[:-1] - np.array(traffic.delay_drains), 0.0) + q_next
@@ -245,15 +248,16 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
     """Verify every recorded action against the named policy's rule.
 
     Each slot's input is rebuilt from the trace's slot-start X, Q and Y and
-    from the scenario: N(t), the policy's power cap from `build_policy` and
-    the packet cap from `capacity_cap_profile`.  A static policy must send at
-    its power cap with the packet cap as capacity; a solver policy must carry
-    the slot optimum C* at power N(2^(eta C*) - 1), no more than its cap.
-    Both split the packets greedily in descending X.  C* is found for all
-    slots at once by a vectorised threshold rule; where it differs from the
-    recorded capacity (np.log2 and numpy's power can differ from the math
-    module in the last ulp), `brute_force_slot` settles the slot, since a
-    rerun of `solve_slot` would vouch for its own mistakes.
+    from the scenario: d(t) and N(t), which the trace must match, the
+    policy's power cap from `build_policy` and the packet cap from
+    `capacity_cap_profile`.  A static policy must send at its power cap with
+    the packet cap as capacity; a solver policy must carry the slot optimum
+    C* at power N(2^(eta C*) - 1), no more than its cap.  Both split the
+    packets greedily in descending X.  C* is found for all slots at once by
+    a vectorised threshold rule; where it differs from the recorded capacity
+    (np.log2 and numpy's power can differ from the math module in the last
+    ulp), `brute_force_slot` settles the slot, since a rerun of `solve_slot`
+    would vouch for its own mistakes.
 
     Raises AssertionError naming the first slot whose action is wrong.
     """
@@ -262,7 +266,9 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
         raise ValueError(f"trace has {horizon} slots but the scenario's horizon is {config.horizon}")
     _check_services(trace, config)
     radio, traffic, eta = config.radio, config.traffic, config.radio.eta
-    noises = noise_profile(distance_profile(horizon, config.geometry), radio)
+    distances = distance_profile(horizon, config.geometry)
+    _require(trace.distance != distances, "recorded distance is not the scenario's d(t)")
+    noises = noise_profile(distances, radio)
     _require(trace.noise != noises, "recorded noise is not the scenario's N(t)")
     rule = build_policy(policy, traffic.avg_power, radio.max_power, noises)
     power_cap = rule.power_cap

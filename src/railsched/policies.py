@@ -129,7 +129,7 @@ def decide(
     """
     if policy.static:
         inst = _instance(state, noise, capacity_cap, 0.0, eta)
-        return power_cap, greedy_allocation(min(capacity_cap, inst.total_backlog), inst), capacity_cap
+        return power_cap, greedy_allocation(capacity_cap, inst), capacity_cap
 
     # Every service prices the one power queue Y, so the price is K * Y.
     beta = omega * noise * (len(state.queues) * state.virtual_power)

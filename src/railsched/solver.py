@@ -29,8 +29,8 @@ prefix sums prefix[i] and the table full[i] = M1(prefix[i]); then the
 threshold walk, the neighbour steps, the greedy split and the power
 N * (2^(eta*C) - 1), the same float that `power_for_capacity` returns.  When
 C is the whole backlog the split is the backlog itself, whatever the order,
-so neither `solve_slot` nor `greedy_allocation` fills; in the paper's
-default scenario that is nearly every slot.
+so neither `solve_slot` nor `greedy_allocation` (given at least the whole
+backlog) fills; in the paper's default scenario that is nearly every slot.
 
 Segment i passes its test when bound_i = (log2(x_i) - log2(unit)) / eta
 >= last_i, where last_i = min(prefix[i+1], hi) and unit = beta * (2^eta - 1).
@@ -151,21 +151,18 @@ def _m1(c: float, xs: list[float], prefix: list[int]) -> float:
 
 
 def greedy_allocation(capacity: int, inst: SlotInstance) -> list[int]:
-    """Optimal integer split of `capacity` packets: fill services in descending X_k.
+    """Optimal integer split of up to `capacity` packets: fill services in descending X_k.
 
     mu for the n-th ranked service is min(max(C - backlog claimed by better
-    ranks, 0), Q_n).  When C is the whole backlog that is every Q_k, so the
-    backlog is returned as it stands, with no sort.
+    ranks, 0), Q_n).  When C reaches the whole backlog that is every Q_k, so
+    the backlog is returned as it stands, with no sort.  `capacity` must be a
+    Python int >= 0, as `SlotInstance` requires of its cap.
     """
-    total = inst.total_backlog
-    # NaN fails the chained comparison too.
-    if not 0 <= capacity <= total:
-        raise ValueError(f"capacity {capacity} outside [0, {total}]")
-    if capacity != int(capacity):
-        raise ValueError("capacity must be an integer")
-    if capacity == total:
+    if type(capacity) is not int or capacity < 0:
+        raise ValueError(f"capacity must be a non-negative integer, got {capacity!r}")
+    if capacity >= inst.total_backlog:
         return list(inst.backlogs)
-    return _fill(int(capacity), inst.backlogs, service_order(inst))
+    return _fill(capacity, inst.backlogs, service_order(inst))
 
 
 def _fill(capacity: int, backlogs: tuple[int, ...], order: list[int]) -> list[int]:

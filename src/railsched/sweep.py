@@ -1,11 +1,12 @@
 """Experiment sweeps over omega, arrival rate, or the power cap, plus plot data.
 
-A sweep runs every (value, policy, replication) cell, keeps per-cell
-summaries in a tidy long-format table (one row per run), and aggregates
-mean and sample stddev across replications on demand.  Cells that fail
+A sweep runs every (value, policy, replication) cell and keeps per-cell
+summaries in a tidy long-format table (one row per run).  Cells that fail
 keep their error message in the table; the remaining cells still run.
-The sweep.csv columns and the fig4-fig6 columns are each listed once, in
-a table that both the writer and the reader follow.
+The sweep.csv columns are listed once, in a table that both the writer and
+the reader follow.  Each figure family has one writer: `write_cell_period`
+takes fig3's series from a trace, and `write_tradeoff` groups a sweep's
+successful rows by (value, policy) into fig4-fig6's mean and sample stddev.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .traceio import _fmt, _named_decode_errors
 # Each sweep parameter and the config key it sets.
 SWEEP_PARAMETERS = {"omega": "omega", "lambda": "arrival_rate_pkts", "pmax": "max_power_w"}
 
-FIGURES = ("fig3", "fig4", "fig5", "fig6")
+# The sweep parameter behind each tradeoff figure.
+_FIGURE_PARAMETERS = {"fig4": "lambda", "fig5": "omega", "fig6": "pmax"}
 
-# The fig4-fig6 columns in file order, each a key of an `aggregate` row; the
-# header names the first after the swept parameter.
-_FIGURE_COLUMNS = ("value", "policy", "avg_power_mean", "avg_power_std", "mean_delay_mean", "mean_delay_std")
+FIGURES = ("fig3", *_FIGURE_PARAMETERS)
 
 
 @dataclass(frozen=True)
@@ -72,25 +72,6 @@ class SweepTable:
     @property
     def failures(self) -> list[SweepRow]:
         return [row for row in self.rows if row.status != "ok"]
-
-    def aggregate(self) -> list[dict]:
-        """Mean and sample stddev of P-bar and mean W-bar per (value, policy)."""
-        groups: dict[tuple[float, str], list[SweepRow]] = {}
-        for row in self.rows:
-            if row.status == "ok":
-                groups.setdefault((row.value, row.policy), []).append(row)
-        out = []
-        for (value, policy), rows in sorted(groups.items()):
-            group = {"value": value, "policy": policy, "replications": len(rows)}
-            for column in _FIGURE_COLUMNS[2:]:  # the statistics, each `<SweepRow field>_<mean or std>`
-                field, stat = column.rsplit("_", 1)
-                samples = [getattr(r, field) for r in rows]
-                if stat == "mean":
-                    group[column] = float(np.mean(samples))
-                else:
-                    group[column] = float(np.std(samples, ddof=1)) if len(samples) > 1 else 0.0
-            out.append(group)
-        return out
 
 
 def _run_cell(config: ScenarioConfig) -> SimSummary:
@@ -235,51 +216,39 @@ def read_sweep(path: str | Path) -> SweepTable:
     return SweepTable(rows=rows)
 
 
-def emit_plotdata(
-    source: Trace | SweepTable,
-    figure: str,
-    path: str | Path,
-    config: Optional[ScenarioConfig] = None,
-    window_start: int = 0,
-) -> None:
-    """Write the columnar series behind one of the four standard figures.
+def write_cell_period(trace: Trace, config: ScenarioConfig, path: str | Path, window_start: int = 0) -> None:
+    """Write fig3's series: slot, power, link capacity and mean backlog over one cell period from `window_start`."""
+    window = config.geometry.period_slots
+    if window_start < 0 or window_start + window > len(trace):
+        raise ValueError(f"window [{window_start}, {window_start + window}) outside the trace of {len(trace)} slots")
+    lines = ["t,P,C,mean_Q"]
+    mean_q = trace.queues.mean(axis=1)
+    for t in range(window_start, window_start + window):
+        lines.append(f"{t},{_fmt(trace.power[t])},{int(trace.capacity[t])},{_fmt(mean_q[t])}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    fig3 wants a Trace and the scenario config (for the cell-period length);
-    fig4/fig5/fig6 want a SweepTable over lambda/omega/pmax respectively.
-    Nothing is written when the needed series are missing.
+
+def write_tradeoff(table: SweepTable, figure: str, path: str | Path, config: Optional[ScenarioConfig] = None) -> None:
+    """Write fig4-fig6's series: mean and sample stddev of P-bar and mean W-bar per (value, policy).
+
+    fig4/fig5/fig6 want a sweep over lambda/omega/pmax respectively, and
+    fig5 also wants the scenario config for its constraint reference lines.
+    Only `ok` rows count.
     """
-    if figure not in FIGURES:
-        raise ValueError(f"figure must be one of {FIGURES}")
-    if figure == "fig3":
-        if not isinstance(source, Trace):
-            raise ValueError("fig3 needs a simulation trace")
-        if config is None:
-            raise ValueError("fig3 needs the scenario config for the cell-period window")
-        if len(source) == 0:
-            raise ValueError("cannot emit plot data from an empty trace")
-        window = config.geometry.period_slots
-        if window_start < 0 or window_start + window > len(source):
-            raise ValueError(
-                f"window [{window_start}, {window_start + window}) outside the trace of {len(source)} slots"
-            )
-        lines = ["t,P,C,mean_Q"]
-        mean_q = source.queues.mean(axis=1)
-        for t in range(window_start, window_start + window):
-            lines.append(f"{t},{_fmt(source.power[t])},{int(source.capacity[t])},{_fmt(mean_q[t])}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return
-
-    if not isinstance(source, SweepTable):
-        raise ValueError(f"{figure} needs a sweep table")
-    wanted = {"fig4": "lambda", "fig5": "omega", "fig6": "pmax"}[figure]
-    present = {row.parameter for row in source.rows}
+    wanted = _FIGURE_PARAMETERS.get(figure)
+    if wanted is None:
+        raise ValueError(f"figure must be one of {tuple(_FIGURE_PARAMETERS)}")
+    present = {row.parameter for row in table.rows}
     if present != {wanted}:
         raise ValueError(f"{figure} needs a sweep over {wanted!r}, table holds {sorted(present)}")
-    aggregated = source.aggregate()
-    if not aggregated:
+    groups: dict[tuple[float, str], list[SweepRow]] = {}
+    for row in table.rows:
+        if row.status == "ok":
+            groups.setdefault((row.value, row.policy), []).append(row)
+    if not groups:
         raise ValueError(f"{figure}: no successful sweep cells to plot")
 
-    header = [wanted, *_FIGURE_COLUMNS[1:]]
+    header = [wanted, "policy", "avg_power_mean", "avg_power_std", "mean_delay_mean", "mean_delay_std"]
     extra: list[str] = []
     if figure == "fig5":
         if config is None:
@@ -287,7 +256,9 @@ def emit_plotdata(
         extra = [_fmt(config.traffic.avg_power), _fmt(float(np.mean(config.traffic.delay_bounds)))]
         header += ["p_av_ref", "w_av_ref"]
     lines = [",".join(header)]
-    for group in aggregated:
-        row = [group[column] if column == "policy" else _fmt(group[column]) for column in _FIGURE_COLUMNS]
-        lines.append(",".join(row + extra))
+    for (value, policy), rows in sorted(groups.items()):
+        stats = []
+        for samples in ([r.avg_power for r in rows], [r.mean_delay for r in rows]):
+            stats += [np.mean(samples), np.std(samples, ddof=1) if len(samples) > 1 else 0.0]
+        lines.append(",".join([_fmt(value), policy, *map(_fmt, stats), *extra]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -3,7 +3,8 @@
 Each works on one slot or one value at a time; the tests compare the
 vectorised and one-pass production paths against them.  The slot solve has
 two references: the gate's random instances, and the paper's own method,
-golden-section search over the relaxed M(C).
+golden-section search over the relaxed M(C).  The greedy split has one: an
+exhaustive search over every integer split.
 """
 
 from __future__ import annotations
@@ -83,6 +84,31 @@ def m1_value(capacity: float, inst: SlotInstance) -> float:
     xs = [inst.weights[k] for k in order]
     prefix = list(itertools.accumulate((inst.backlogs[k] for k in order), initial=0))
     return _m1(min(capacity, float(inst.total_backlog)), xs, prefix)
+
+
+def exhaustive_best_split(weights, backlogs, capacity: int) -> float:
+    """Best sum_k X_k * mu_k over every integer split with 0 <= mu_k <= Q_k summing to `capacity`.
+
+    Tries each mu_k from Q_k down, pruning a branch once the backlog left
+    cannot hold the packets left; -inf when no split sums to `capacity`.
+    The value adds the terms in service order, as a sum over the split does.
+    """
+    k = len(weights)
+    suffix = list(itertools.accumulate(reversed(backlogs), initial=0))[::-1]
+    best = -math.inf
+
+    def search(i, remaining, value):
+        nonlocal best
+        if remaining > suffix[i]:
+            return
+        if i == k:
+            best = max(best, value)
+            return
+        for m in range(min(backlogs[i], remaining), -1, -1):
+            search(i + 1, remaining - m, value + weights[i] * m)
+
+    search(0, capacity, 0.0)
+    return best
 
 
 def m2_value(capacity: float, inst: SlotInstance) -> float:

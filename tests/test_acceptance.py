@@ -21,7 +21,7 @@ from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, 
 from railsched.sweep import SweepSpec, read_sweep, run_sweep
 from railsched.traceio import write_trace
 
-from reference_formulas import noise_equiv, objective_value, random_instance
+from reference_formulas import exhaustive_best_split, noise_equiv, objective_value, random_instance
 
 SEEDS = (1, 2, 3)
 HORIZON = 300_000
@@ -58,30 +58,6 @@ def test_criterion_1_solver_oracle_equivalence():
     )
 
 
-def _exhaustive_best_split(weights, backlogs, capacity):
-    # prune on remaining backlog so full enumeration stays cheap
-    k = len(weights)
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + backlogs[i]
-    best = -1.0
-
-    def rec(i, remaining, value):
-        nonlocal best
-        if remaining > suffix[i]:
-            return
-        if i == k:
-            if value > best:
-                best = value
-            return
-        top = min(backlogs[i], remaining)
-        for m in range(top, -1, -1):
-            rec(i + 1, remaining - m, value + weights[i] * m)
-
-    rec(0, capacity, 0.0)
-    return best
-
-
 def test_criterion_2_greedy_optimality_exhaustive():
     rng = random.Random(202)
     start = time.perf_counter()
@@ -95,7 +71,7 @@ def test_criterion_2_greedy_optimality_exhaustive():
             for c in range(min(12, sum(backlogs)) + 1):
                 mu = greedy_allocation(c, inst)
                 greedy_val = sum(w * m for w, m in zip(weights, mu))
-                exact_val = _exhaustive_best_split(weights, backlogs, c)
+                exact_val = exhaustive_best_split(weights, backlogs, c)
                 if greedy_val != exact_val:
                     _report(
                         "criterion 2 (greedy optimality)",

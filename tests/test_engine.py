@@ -222,11 +222,14 @@ def test_replay_detects_tampering():
         ("virtual_power", 30, 29, "power virtual-queue"),
         ("drops", 30, 30, "drop-count"),
         ("drops", -1, 59, "drop-count"),
+        ("slot", 30, 30, "slot-number"),
+        ("served", 30, 30, "served-count"),
     ],
 )
 def test_replay_names_tampered_slot(column, index, slot, check):
     # Q, X and Y are slot-start rows, so a bad row 30 is slot 29's successor;
-    # the drop count is the row's own, the last row's included
+    # the drop count, the slot number and the served count are the row's own,
+    # the last row's drop count included
     config = small_config(horizon=60)
     trace, _ = run(config)
     getattr(trace, column)[index] += 1
@@ -235,8 +238,9 @@ def test_replay_names_tampered_slot(column, index, slot, check):
 
 
 @pytest.mark.parametrize("policy", ["proposed", "cpa-dynamic", "wfpa-static"])
-@pytest.mark.parametrize("column", ["capacity", "power", "allocation"])
+@pytest.mark.parametrize("column", ["capacity", "power", "allocation", "distance"])
 def test_audit_detects_tampered_decision(policy, column):
+    # the distance is no decision, but the audit rebuilds each slot's input from the scenario's d(t)
     config = small_config(horizon=300)
     trace, _ = run(config, policy=policy)
     audit_decisions(trace, config, policy)

@@ -16,7 +16,7 @@ from railsched.policies import build_policy, decide
 from railsched.queues import SystemState
 from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, service_order, solve_slot
 
-from reference_formulas import golden_section_slot, link_capacity, m1_value, m2_value, objective_value, random_instance
+from reference_formulas import exhaustive_best_split, golden_section_slot, link_capacity, m1_value, m2_value, objective_value, random_instance
 
 ETA = 0.048
 ORACLE_RTOL = 1e-9  # the relative objective gap acceptance criterion 1 allows
@@ -31,17 +31,6 @@ def make_instance(weights, backlogs, beta=0.0, capacity_cap=10_000, noise=1.0):
         noise_equiv=noise,
         capacity_cap=capacity_cap,
     )
-
-
-def exhaustive_best_split(weights, backlogs, capacity):
-    """Independent oracle: try every integer allocation summing to `capacity`."""
-    best = None
-    for combo in itertools.product(*(range(q + 1) for q in backlogs)):
-        if sum(combo) == capacity:
-            value = sum(w * m for w, m in zip(weights, combo))
-            if best is None or value > best:
-                best = value
-    return best
 
 
 @st.composite
@@ -67,20 +56,26 @@ class TestGreedyAllocation:
         assert exhaustive_best_split(inst.weights, inst.backlogs, 5) == 27.0
 
     def test_full_drain(self):
+        # a capacity above the backlog splits up to it: the whole backlog
         inst = make_instance([3.0, 9.0, 1.0], [4, 2, 10])
         assert greedy_allocation(16, inst) == [4, 2, 10]
+        assert greedy_allocation(17, inst) == [4, 2, 10]
+        assert greedy_allocation(10**6, inst) == [4, 2, 10]
 
     def test_rejects_out_of_range(self):
-        inst = make_instance([1.0], [4])
-        with pytest.raises(ValueError):
-            greedy_allocation(5, inst)
-        with pytest.raises(ValueError):
-            greedy_allocation(-1, inst)
+        with pytest.raises(ValueError, match=r"^capacity must be a non-negative integer, got -1$"):
+            greedy_allocation(-1, make_instance([1.0], [4]))
 
     @pytest.mark.parametrize("capacity", [math.inf, math.nan])
     def test_rejects_non_finite(self, capacity):
-        with pytest.raises(ValueError, match=r"capacity .* outside \[0, 4\]"):
+        with pytest.raises(ValueError, match=r"^capacity must be a non-negative integer, got (inf|nan)$"):
             greedy_allocation(capacity, make_instance([1.0], [4]))
+
+    @pytest.mark.parametrize("capacity", [2.5, 2.0, np.int64(2), True], ids=["fraction", "whole-float", "int64", "bool"])
+    def test_rejects_all_but_a_python_int(self, capacity):
+        # the rule SlotInstance applies to its cap, so no float or numpy integer leaks into the split
+        with pytest.raises(ValueError, match=r"^capacity must be a non-negative integer, got "):
+            greedy_allocation(capacity, make_instance([1.0, 2.0], [4, 4]))
 
     def test_tie_break_by_index(self):
         inst = make_instance([5.0, 5.0], [3, 3])

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import math
 import os
@@ -11,7 +12,7 @@ from railsched import sweep
 from railsched.cli import main
 from railsched.config import default_config, with_updates
 from railsched.engine import run
-from railsched.sweep import SWEEP_PARAMETERS, SweepSpec, _run_cell, emit_plotdata, read_sweep, run_sweep, write_sweep
+from railsched.sweep import SWEEP_PARAMETERS, SweepSpec, _run_cell, read_sweep, run_sweep, write_cell_period, write_sweep, write_tradeoff
 BASE = with_updates(default_config(), horizon=400, seed=31)
 
 # A compact track (30 m cells) so short test runs still cover whole cell periods.
@@ -111,15 +112,18 @@ class TestSweep:
             (r.value, r.avg_power, r.mean_delay) for r in parallel.rows
         ]
 
-    def test_aggregate_mean_and_std(self):
+    def test_aggregate_mean_and_std(self, tmp_path):
         spec = SweepSpec(parameter="omega", values=(0.8,), policies=("proposed",), replications=3)
         table = run_sweep(spec, BASE)
-        agg = table.aggregate()
-        assert len(agg) == 1
-        powers = [r.avg_power for r in table.rows]
-        assert agg[0]["avg_power_mean"] == pytest.approx(np.mean(powers))
-        assert agg[0]["avg_power_std"] == pytest.approx(np.std(powers, ddof=1))
-        assert agg[0]["replications"] == 3
+        write_tradeoff(table, "fig5", tmp_path / "fig5.csv", config=BASE)
+        header, *lines = (tmp_path / "fig5.csv").read_text().splitlines()
+        assert len(lines) == 1
+        row = dict(zip(header.split(","), lines[0].split(",")))
+        for field in ("avg_power", "mean_delay"):
+            samples = [getattr(r, field) for r in table.rows]
+            # %.17g round-trips, so the file holds the statistics bit for bit
+            assert float(row[f"{field}_mean"]) == np.mean(samples)
+            assert float(row[f"{field}_std"]) == np.std(samples, ddof=1)
 
     def test_sweep_parameter_sets_its_field(self):
         fields = {"omega": lambda c: c.omega, "lambda": lambda c: c.traffic.arrival_rates, "pmax": lambda c: c.radio.max_power}
@@ -229,7 +233,7 @@ class TestPlotData:
         spec = SweepSpec(parameter="omega", values=(0.4, 0.8), policies=("proposed",), replications=1)
         table = run_sweep(spec, BASE)
         out = tmp_path / "fig5.csv"
-        emit_plotdata(table, "fig5", out, config=BASE)
+        write_tradeoff(table, "fig5", out, config=BASE)
         lines = out.read_text().splitlines()
         assert lines[0].split(",")[-2:] == ["p_av_ref", "w_av_ref"]
         for line in lines[1:]:
@@ -239,7 +243,7 @@ class TestPlotData:
         spec = SweepSpec(parameter="lambda", values=(5.0, 20.0), policies=("proposed", "cpa-dynamic"), replications=1)
         table = run_sweep(spec, BASE)
         out = tmp_path / "fig4.csv"
-        emit_plotdata(table, "fig4", out)
+        write_tradeoff(table, "fig4", out)
         lines = out.read_text().splitlines()
         assert lines[0].startswith("lambda,policy,")
         assert len(lines) == 1 + 2 * 2
@@ -249,14 +253,28 @@ class TestPlotData:
         table = run_sweep(spec, BASE)
         out = tmp_path / "fig4.csv"
         with pytest.raises(ValueError):
-            emit_plotdata(table, "fig4", out)
+            write_tradeoff(table, "fig4", out)
+        assert not out.exists()
+
+    def test_tradeoff_rejects_unplottable_input(self, tmp_path):
+        spec = SweepSpec(parameter="omega", values=(0.8,), policies=("proposed",), replications=1)
+        table = run_sweep(spec, BASE)
+        failed = sweep.SweepTable(rows=[dataclasses.replace(table.rows[0], status="failed")])
+        out = tmp_path / "fig5.csv"
+        for source, figure, config, message in [
+            (table, "fig3", BASE, r"figure must be one of \('fig4', 'fig5', 'fig6'\)"),
+            (table, "fig5", None, "fig5 needs the scenario config"),
+            (failed, "fig5", BASE, "fig5: no successful sweep cells to plot"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                write_tradeoff(source, figure, out, config=config)
         assert not out.exists()
 
     def test_fig3_window(self, tmp_path):
         small = _small_config(tmp_path)
         trace, _ = run(small)
         out = tmp_path / "fig3.csv"
-        emit_plotdata(trace, "fig3", out, config=small)
+        write_cell_period(trace, small, out)
         lines = out.read_text().splitlines()
         assert lines[0] == "t,P,C,mean_Q"
         assert len(lines) == 1 + small.geometry.period_slots
@@ -265,27 +283,26 @@ class TestPlotData:
         small = _small_config(tmp_path)
         trace, _ = run(small)
         out = tmp_path / "fig3.csv"
-        emit_plotdata(trace, "fig3", out, config=small, window_start=250)
+        write_cell_period(trace, small, out, window_start=250)
         assert out.read_text().splitlines()[1].split(",")[0] == "250"
 
     def test_fig3_window_beyond_trace(self, tmp_path):
         small = _small_config(tmp_path)
         trace, _ = run(small)
         with pytest.raises(ValueError):
-            emit_plotdata(trace, "fig3", tmp_path / "x.csv", config=small, window_start=10**6)
+            write_cell_period(trace, small, tmp_path / "x.csv", window_start=10**6)
         assert not (tmp_path / "x.csv").exists()
 
     def test_fig3_empty_trace(self, tmp_path):
-        import dataclasses
-
+        # the cell period is at least one slot, so the window check rejects an empty trace
         small = _small_config(tmp_path)
         trace, _ = run(small)
         empty = dataclasses.replace(
             trace,
             **{name: getattr(trace, name)[:0] for name in ("slot", "distance", "noise", "power", "capacity", "served", "arrivals", "allocation", "queues", "virtual_delay", "virtual_power", "drops")},
         )
-        with pytest.raises(ValueError):
-            emit_plotdata(empty, "fig3", tmp_path / "y.csv", config=small)
+        with pytest.raises(ValueError, match=r"^window \[0, \d+\) outside the trace of 0 slots$"):
+            write_cell_period(empty, small, tmp_path / "y.csv")
         assert not (tmp_path / "y.csv").exists()
 
 
@@ -329,9 +346,9 @@ class TestOutputsPinned:
             write_sweep(run_sweep(spec, base), path)
             write_sweep(read_sweep(path), tmp_path / "again.csv")
             assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
-            emit_plotdata(read_sweep(path), figure, tmp_path / f"{figure}.csv", config=base)
+            write_tradeoff(read_sweep(path), figure, tmp_path / f"{figure}.csv", config=base)
         small = _small_config(tmp_path)
-        emit_plotdata(run(small)[0], "fig3", tmp_path / "fig3.csv", config=small, window_start=250)
+        write_cell_period(run(small)[0], small, tmp_path / "fig3.csv", window_start=250)
         assert {name: _digest(tmp_path / name) for name in PINNED_SWEEP_OUTPUTS} == PINNED_SWEEP_OUTPUTS
 
 
