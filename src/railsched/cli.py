@@ -7,6 +7,7 @@ or invariant failure, 3 sweep finished with some failed cells.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -31,9 +32,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _values(raw: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in raw.split(","))
+        values = tuple(float(v) for v in raw.split(","))
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {raw!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {raw!r}")
 
 
 def _whole(low: int):

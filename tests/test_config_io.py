@@ -8,7 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from railsched.cli import main
-from railsched.config import _RULES, DEFAULTS, ConfigError, default_config, load_config, with_updates
+from railsched.config import _KEYS, ConfigError, default_config, load_config, with_updates
 from railsched.engine import SimSummary, Trace, replay_check, run
 from railsched.traceio import _WRITE_CHUNK_ROWS, _fmt, _trace_schema, read_trace, trace_columns, write_summary, write_trace
 
@@ -128,6 +128,29 @@ class TestLoading:
         with pytest.raises(ConfigError, match="policy"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "section, text",
+        [
+            ("bogus", "[bogus]\nseed = 5\n"),
+            ("bogus", "[bogus]\n"),
+            # [DEFAULT] is no section of a scenario either: its keys must
+            # neither vanish nor leak into the other sections
+            ("DEFAULT", "[DEFAULT]\nseed = 5\nhorizon = 7\n"),
+            ("DEFAULT", "[DEFAULT]\nseed = 5\n[radio]\nbandwidth_hz = 5e6\n"),
+            ("DEFAULT", "[DEFAULT]\n"),
+        ],
+        ids=["bogus-with-key", "bogus-empty", "default-alone", "default-beside-radio", "default-empty"],
+    )
+    def test_unknown_section_rejected(self, tmp_path, capsys, section, text):
+        path = tmp_path / "sections.ini"
+        path.write_text(text)
+        message = f"unknown config section [{section}]"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "trace.csv").exists()
+
 
 class TestValidation:
     """File loading and `with_updates` build through one path; each error names its key."""
@@ -184,16 +207,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match=pattern):
             load_config(**{f"{section}.{field}": value})
 
-    @pytest.mark.parametrize("name", list(_RULES))
-    def test_every_rule_names_its_key(self, name):
-        low, inclusive, rule = _RULES[name]
+    @pytest.mark.parametrize("key", [key for key in _KEYS if key != "policy"], ids=lambda key: f"{_KEYS[key][0]}.{key}")
+    def test_every_rule_names_its_key(self, key):
+        section, _, low, inclusive, rule = _KEYS[key]
+        name = f"{section}.{key}"
         value = low - 1 if inclusive else low
         with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be {re.escape(rule)}, got {re.escape(str(value))}$"):
             load_config(**{name: value})
 
     def test_rules_cover_every_key(self):
-        # a key added to DEFAULTS cannot skip its rule; the policy is checked by name
-        assert set(_RULES) == {f"{section}.{key}" for section, keys in DEFAULTS.items() for key in keys} - {"run.policy"}
+        # a key added to the table cannot skip its range; the policy is checked by name
+        assert [key for key, (_, _, low, _, rule) in _KEYS.items() if low is None or rule is None] == ["policy"]
 
     @pytest.mark.parametrize("max_power", [0.0, float("nan"), float("inf")])
     def test_bad_max_power(self, max_power):
@@ -225,7 +249,7 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite"):
             load_config(**{key: value})
 
-    @pytest.mark.parametrize("key", [f"{section}.{key}" for section, keys in DEFAULTS.items() for key in keys])
+    @pytest.mark.parametrize("key", [f"{section}.{key}" for key, (section, *_) in _KEYS.items()])
     def test_malformed_value_names_key(self, tmp_path, key):
         # "abc" is not a number, and not a policy name either
         section, bare = key.split(".")
@@ -266,6 +290,9 @@ def test_cli_bad_ini_value_exits_1(tmp_path, capsys):
         ("[geometry]\nslot_duration_s = 1e300\n[radio]\nbandwidth_hz = 1e300\n", f"{eta} = 0.0,"),
         ("[geometry]\nspeed_kmh = 5e-324\n", "geometry.speed_kmh gives v = 0.0,"),
         ("[geometry]\nspeed_kmh = 1e-200\nslot_duration_s = 1e-200\n", f"{period} = inf,"),
+        # values are taken literally: a `%` is not interpolation syntax
+        ("[run]\npolicy = a%b\n", "run.policy 'a%b' not one of ["),
+        ("[traffic]\narrival_rate_pkts = %(x)s\n", "traffic.arrival_rate_pkts: expected a number, got '%(x)s'"),
     ]
     path = tmp_path / "bad.ini"
     for text, message in cases:

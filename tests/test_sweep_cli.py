@@ -33,6 +33,13 @@ def _crash_at_omega_half(config):
     return _run_cell(config)
 
 
+def _raise_at_omega_half(config):
+    """Sweep cell runner that raises on the omega = 0.5 cell."""
+    if config.omega == 0.5:
+        raise RuntimeError("cell blew up at omega 0.5")
+    return _run_cell(config)
+
+
 class TestSweep:
     def test_single_cell_matches_direct_run(self):
         # cpa-static is not the base policy, and a second replication runs on the next seed
@@ -79,6 +86,15 @@ class TestSweep:
         argv = ["sweep", "--horizon", "200", "--param", "omega", "--values", "0.4,0.5", "--workers", "2", "--out", str(tmp_path)]
         assert main(argv) == 3
         assert [r.status for r in read_sweep(tmp_path / "sweep.csv").rows] == ["ok", "failed"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_cell_fails_only_its_cell(self, monkeypatch, workers):
+        # a cell whose run raises keeps its message; the other cell still runs
+        monkeypatch.setattr(sweep, "_run_cell", _raise_at_omega_half)
+        spec = SweepSpec(parameter="omega", values=(0.5, 0.8), policies=("proposed",), replications=1)
+        rows = run_sweep(spec, BASE, workers=workers).rows
+        assert [(r.value, r.status, r.error) for r in rows] == [(0.5, "failed", "cell blew up at omega 0.5"), (0.8, "ok", "")]
+        assert rows[1].avg_power == _run_cell(with_updates(BASE, omega=0.8)).avg_power
 
     def test_pool_capped_at_cell_count(self, monkeypatch):
         asked = []
@@ -149,6 +165,8 @@ class TestSweep:
             SweepSpec(parameter="omega", values=(), policies=("proposed",))
         with pytest.raises(ValueError):
             SweepSpec(parameter="omega", values=(1.0,), policies=("proposed",), replications=0)
+        with pytest.raises(ValueError):
+            SweepSpec(parameter="omega", values=(1.0,), policies=())
 
 
 @pytest.fixture(scope="module")
@@ -433,6 +451,7 @@ class TestCli:
         "flag, value",
         [
             ("--values", "abc"),
+            ("--values", "nan,0.5"),
             ("--reps", "0"),
             ("--param", "bogus"),
             ("--seed", "x"),
