@@ -9,8 +9,8 @@ function of the slot index:
                    ->  packet cap: the largest whole C with N * (2^(eta*C) - 1) <= P
 
 with eta = L / (Ts * B) converting spectral efficiency into whole packets
-of L bits per slot.  The cap and its inverse, the power for C packets, use
-one float expression, so the power of any C up to the cap is within P.
+of L bits per slot.  The cap tests the float price the solvers pay for C
+packets, so the power of any C up to the cap is within P.
 """
 
 from __future__ import annotations
@@ -68,29 +68,6 @@ def distance_profile(num_slots: int, geom: Geometry) -> np.ndarray:
 def noise_profile(distances: np.ndarray, radio: RadioParams) -> np.ndarray:
     """Noise-equivalent power N = B * N0 * d^alpha, folding pathloss into the SNR denominator."""
     return radio.bandwidth * radio.noise_psd * np.asarray(distances, dtype=np.float64) ** radio.pathloss_exp
-
-
-def power_for_capacity(capacity: float, noise: float, eta: float) -> float:
-    """Exact inverse of the un-floored capacity curve: P = N * (2^(eta*C) - 1).
-
-    A noise or eta that is not finite and positive, a capacity that is not
-    non-negative and a power that is not a finite double are ValueErrors.
-    """
-    if not 0.0 < noise < math.inf:
-        raise ValueError(f"noise must be finite and positive, got {noise!r}")
-    if not 0.0 < eta < math.inf:
-        raise ValueError(f"eta must be finite and positive, got {eta!r}")
-    if not capacity >= 0:
-        raise ValueError(f"capacity must be non-negative, got {capacity!r}")
-    if capacity == 0.0:
-        return 0.0
-    try:
-        power = noise * (2.0 ** (eta * capacity) - 1.0)
-    except OverflowError:
-        power = math.inf
-    if power == math.inf:
-        raise ValueError(f"capacity {capacity} exceeds the representable power range")
-    return power
 
 
 def capacity_cap_profile(noises: np.ndarray, power_cap, eta: float) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .engine import run
+from .policies import POLICY_NAMES
 from .sweep import FIGURES, SWEEP_PARAMETERS, SweepSpec, read_sweep, run_sweep, write_cell_period, write_sweep, write_tradeoff
 from .traceio import read_trace, write_summary, write_trace
 
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate one scenario, write trace and summary")
     _add_common(p_run)
-    p_run.add_argument("--policy", default=None, help="proposed | cpa-static | wfpa-static | cpa-dynamic | wfpa-dynamic")
+    p_run.add_argument("--policy", default=None, help=" | ".join(POLICY_NAMES))
     p_run.add_argument("--no-trace", action="store_true", help="skip the per-slot trace file")
     p_run.set_defaults(func=_cmd_run)
 

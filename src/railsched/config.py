@@ -92,6 +92,9 @@ def _convert(key: str, raw):
     try:
         if kind is str:
             return str(raw).strip()
+        # Python takes a bool as a number, but no config value is one.
+        if isinstance(raw, bool) or (isinstance(raw, (tuple, list)) and any(isinstance(v, bool) for v in raw)):
+            raise TypeError
         if key in _PER_SERVICE and not isinstance(raw, numbers.Real):
             if isinstance(raw, str) and "," not in raw:
                 return float(raw)

@@ -1,14 +1,14 @@
 """The five per-slot control policies.
 
-Every policy is a power cap for each slot plus one flag.  The proposed
-policy's cap is the instantaneous power cap; the CPA and WFPA baselines
-precompute theirs, constant power at the average-power budget or
+Every policy is a power cap for each slot plus one flag; `build_policy`
+alone builds it and checks the average-power budget for every policy.
+The proposed policy's cap is the instantaneous power cap; the CPA and
+WFPA baselines precompute theirs, constant power at the budget or
 water-filling against the known noise trajectory, its water level in
 closed form.  A static policy transmits at its cap every slot and only
 picks which packets ride the resulting capacity; the others solve the
-drift problem under the cap.  All five split packets among services with
-the same descending-X greedy rule, so the policies differ only in power
-control.
+drift problem under the cap.  All five split packets among services
+with the same descending-X greedy rule: they differ only in power control.
 """
 
 from __future__ import annotations
@@ -36,30 +36,19 @@ class Policy:
     static: bool  # transmit at the cap (True) or solve under it (False)
 
 
-def cpa_profile(avg_power: float, num_slots: int) -> np.ndarray:
-    """Constant power at the average-power budget, every slot."""
-    # Chained comparisons are False for NaN, so this check rejects it too.
-    if not 0.0 < avg_power < math.inf:
-        raise ValueError(f"avg_power must be finite and positive, got {avg_power}")
-    return np.full(num_slots, float(avg_power))
-
-
-def wfpa_profile(noise_trajectory: np.ndarray, avg_power: float) -> np.ndarray:
+def _wfpa_profile(noise_trajectory: np.ndarray, avg_power: float) -> np.ndarray:
     """Water-filling power over the whole trip: P(t) = max(level - N(t), 0).
 
     The level is where the profile's float time average first reaches
     `avg_power` on [min N, max N + budget], to the last double: the closed
     form gives it to within a few ulps and unit steps settle it.  This
     maximizes total throughput sum_t log2(1 + P(t)/N(t)) under the
-    average-power budget.
+    budget, which `build_policy` has checked.
     """
-    # Comparisons are False for NaN, so these checks reject it too.
-    if not 0.0 < avg_power < math.inf:
-        raise ValueError(f"avg_power must be finite and positive, got {avg_power}")
     noise = np.asarray(noise_trajectory, dtype=np.float64)
     if noise.size == 0:
         return np.zeros(0)
-    # An infinite noise value is allowed: its slot gets zero power.
+    # NaN fails the comparison; an infinite noise value passes and gets zero power.
     if not np.all(noise > 0.0):
         raise ValueError("noise trajectory must be positive, with no NaN")
     lo = float(noise.min())
@@ -91,15 +80,17 @@ def wfpa_profile(noise_trajectory: np.ndarray, avg_power: float) -> np.ndarray:
 
 
 def build_policy(name: str, avg_power: float, max_power: float, noise_trajectory: np.ndarray) -> Policy:
-    """Build a named policy's power cap over the noise trajectory's horizon and validate it."""
+    """Check the budget, then build a named policy's power cap over the noise trajectory's horizon and validate it."""
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}; expected one of {sorted(POLICY_NAMES)}")
+    if not 0.0 < avg_power < math.inf:
+        raise ValueError(f"avg_power must be finite and positive, got {avg_power}")
     if name == "proposed":
         power_cap = np.broadcast_to(float(max_power), len(noise_trajectory))
     elif name.startswith("wfpa"):
-        power_cap = wfpa_profile(noise_trajectory, avg_power)
+        power_cap = _wfpa_profile(noise_trajectory, avg_power)
     else:
-        power_cap = cpa_profile(avg_power, len(noise_trajectory))
+        power_cap = np.full(len(noise_trajectory), float(avg_power))
     # NaN fails both comparisons, so a non-finite cap is rejected here too.
     # The span prints in full (repr), so a cap one ulp above max_power shows.
     if power_cap.size and not (power_cap.min() >= 0.0 and power_cap.max() <= max_power):

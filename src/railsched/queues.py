@@ -36,7 +36,7 @@ class TrafficParams:
     arrival_rates: tuple[float, ...]  # lambda_k, packets/slot
     delay_bounds: tuple[float, ...]  # W_k, slots of allowed average delay
     avg_power: float  # average-power budget, W
-    buffer_cap: int = 1_000_000  # per-service backlog cap, packets
+    buffer_cap: int  # per-service backlog cap, packets
 
     @property
     def num_services(self) -> int:

@@ -27,7 +27,7 @@ exactly with no iteration and no stopping width.
 one loop over that order that builds the sorted weights xs, the backlog
 prefix sums prefix[i] and the table full[i] = M1(prefix[i]); then the
 threshold walk, the neighbour steps, the greedy split and the power
-N * (2^(eta*C) - 1), the same float that `power_for_capacity` returns.  When
+N * (2^(eta*C) - 1), the float that `capacity_cap_profile` tests.  When
 C is the whole backlog the split is the backlog itself, whatever the order,
 so neither `solve_slot` nor `greedy_allocation` (given at least the whole
 backlog) fills; in the paper's default scenario that is nearly every slot.
@@ -56,8 +56,6 @@ import math
 from bisect import bisect_left
 from itertools import accumulate
 from typing import NamedTuple
-
-from .channel import power_for_capacity
 
 # Brute-force enumeration refuses instances that would price more candidates than this.
 _BRUTE_FORCE_LIMIT = 100_000
@@ -261,11 +259,11 @@ def solve_slot(inst: SlotInstance) -> SlotSolution:
 def brute_force_slot(inst: SlotInstance) -> SlotSolution:
     """Independent oracle: enumerate the feasible integer capacities.
 
-    Shares only the greedy split `_fill` with `solve_slot`: M1 comes from
-    the segment walk `_m1`, the power from `power_for_capacity`, with no
-    threshold rule and no concavity assumption.  It stops at the first C
-    whose cost beta * (2^(eta*C) - 1) leaves M1(sum Q), the most any C
-    gains, no more than the best score so far: M1 and the cost do not
+    Shares only the greedy split `_fill` and the price expression
+    N * (2^(eta*C) - 1) with `solve_slot`: M1 comes from the segment walk
+    `_m1`, with no threshold rule and no concavity assumption.  It stops at
+    the first C whose cost beta * (2^(eta*C) - 1) leaves M1(sum Q), the most
+    any C gains, no more than the best score so far: M1 and the cost do not
     decrease in C, so from there on no C scores higher.
     """
     # The weights in descending order and the backlog prefix sums in that order.
@@ -286,5 +284,8 @@ def brute_force_slot(inst: SlotInstance) -> SlotSolution:
                 best_c, best_val = c, val
     except OverflowError:
         raise ValueError(f"capacity up to {hi} at eta {eta} exceeds the representable power range") from None
-    power = power_for_capacity(float(best_c), inst.noise_equiv, eta)
+    # 2^(eta*C*) was priced in the loop, so only the product with N can leave the doubles.
+    power = inst.noise_equiv * (2.0 ** (eta * best_c) - 1.0)
+    if power == math.inf:
+        raise ValueError(f"capacity {float(best_c)} exceeds the representable power range")
     return SlotSolution(best_c, power, tuple(_fill(best_c, inst.backlogs, order)), best_val)

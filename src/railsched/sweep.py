@@ -44,6 +44,8 @@ class SweepSpec:
             raise ValueError(f"parameter must be one of {tuple(SWEEP_PARAMETERS)}")
         if not self.values:
             raise ValueError("values must be nonempty")
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError(f"values must be finite, got {self.values}")
         if not self.policies:
             raise ValueError("policies must be nonempty")
         if self.replications < 1:

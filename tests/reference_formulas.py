@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 
-from railsched.channel import Geometry, RadioParams, power_for_capacity
+from railsched.channel import Geometry, RadioParams
 from railsched.solver import SlotInstance, _m1, service_order
 
 # Tolerance for float capacities sitting exactly on the feasible boundary.
@@ -44,6 +44,11 @@ def noise_equiv(distance: float, radio: RadioParams) -> float:
     if distance <= 0:
         raise ValueError("distance must be positive")
     return radio.bandwidth * radio.noise_psd * distance**radio.pathloss_exp
+
+
+def power_for_capacity(capacity: float, noise: float, eta: float) -> float:
+    """The price of C packets, P = N * (2^(eta*C) - 1): the float the solvers pay."""
+    return noise * (2.0 ** (eta * capacity) - 1.0)
 
 
 def link_capacity(power: float, noise: float, eta: float) -> int:
@@ -115,7 +120,7 @@ def m2_value(capacity: float, inst: SlotInstance) -> float:
     """Weighted power cost beta * (2^(eta*C) - 1); convex, zero at zero."""
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
-    return inst.beta * (power_for_capacity(capacity, 1.0, inst.eta) if capacity > 0 else 0.0)
+    return inst.beta * power_for_capacity(capacity, 1.0, inst.eta)
 
 
 def objective_value(capacity: float, inst: SlotInstance) -> float:

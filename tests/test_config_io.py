@@ -198,6 +198,10 @@ class TestValidation:
             pytest.param("arrival_rate_pkts", [20.0] * 5, "traffic", id="arrival_rate_pkts-5_of_6-traffic"),
             pytest.param("arrival_rate_pkts", "20, -1, 20, 20, 20, 20", "traffic", id="arrival_rate_pkts-one_negative-traffic"),
             pytest.param("avg_power_w", 0.0, "traffic", id="avg_power_w-0.0-traffic"),
+            pytest.param("omega", True, "control", id="omega-True-control"),
+            pytest.param("avg_power_w", True, "traffic", id="avg_power_w-True-traffic"),
+            pytest.param("arrival_rate_pkts", True, "traffic", id="arrival_rate_pkts-True-traffic"),
+            pytest.param("arrival_rate_pkts", [20.0] * 5 + [True], "traffic", id="arrival_rate_pkts-one_True-traffic"),
         ],
     )
     def test_bad_field_value(self, field, value, section):
@@ -263,7 +267,7 @@ class TestValidation:
         with pytest.raises(ConfigError, match=pattern):
             with_updates(default_config(), **{bare: "abc"})
 
-    @pytest.mark.parametrize("value", [2.5, "2.5"], ids=["float", "str"])
+    @pytest.mark.parametrize("value", [2.5, "2.5", True], ids=["float", "str", "bool"])
     @pytest.mark.parametrize("key", ["traffic.num_services", "traffic.buffer_cap_pkts", "run.horizon", "run.seed"])
     def test_integer_key_takes_whole_numbers(self, key, value):
         pattern = rf"^{re.escape(key)}: expected a whole number"
@@ -491,6 +495,24 @@ class TestTraceRejectsBadFiles:
     def test_fractional_int(self, tmp_path, short_run):
         path = self.write_edited(tmp_path, short_run[1], lambda lines: self.set_field(lines, 5, "Q2", "3.5"))
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: row 5, column Q2: '3.5' is not an integer"):
+            read_trace(path)
+
+    def test_first_fault_named_when_a_later_one_fails_the_parse(self, tmp_path, short_run):
+        # numpy takes "nan" but not "fast"; the row-by-row check names the earlier fault
+        def edit(lines):
+            self.set_field(lines, 2, "X3", "nan")
+            self.set_field(lines, 5, "P", "fast")
+
+        path = self.write_edited(tmp_path, short_run[1], edit)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 2, column X3: non-finite value 'nan'$"):
+            read_trace(path)
+
+    def test_fault_only_numpy_sees_keeps_its_words(self, tmp_path, short_run):
+        # Python's int takes "1_0" and numpy's does not: the row-by-row check
+        # finds nothing, so numpy's own message is raised
+        path = self.write_edited(tmp_path, short_run[1], lambda lines: self.set_field(lines, 3, "C", "1_0"))
+        message = f"{path}: could not convert string '1_0' to int64 at row 3, column 5."
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_trace(path)
 
     def test_header_with_wrong_k(self, tmp_path, short_run):

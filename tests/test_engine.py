@@ -1,9 +1,11 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
+from railsched import engine
 from railsched.config import default_config, load_config, with_updates
 from railsched.engine import Trace, audit_decisions, replay_check, run, summarize
 from railsched.policies import POLICY_NAMES
@@ -283,6 +285,17 @@ def test_checks_reject_another_service_count(six_service_run, check, num_service
     config, trace = six_service_run
     with pytest.raises(ValueError, match=f"^trace has 6 services but the scenario has {num_services}$"):
         check(trace, with_updates(config, num_services=num_services))
+
+
+@pytest.mark.parametrize(
+    "decision, message",
+    [((99.0, [0] * 6, 0), "slot 0: power 99.0 exceeds the 50.0 W cap"), ((0.0, [1] + [0] * 5, 0), "slot 0: served 1 exceeds link capacity 0")],
+    ids=["power", "served"],
+)
+def test_run_rejects_a_decision_past_its_caps(monkeypatch, decision, message):
+    monkeypatch.setattr(engine, "decide", lambda *args: decision)
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        run(small_config(horizon=5))
 
 
 def test_run_rejects_bad_horizon():

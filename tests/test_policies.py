@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railsched.channel import capacity_cap_profile, distance_profile, noise_profile, power_for_capacity
+from railsched.channel import capacity_cap_profile, distance_profile, noise_profile
 from railsched.config import default_config
-from railsched.policies import POLICY_NAMES, Policy, build_policy, cpa_profile, decide, wfpa_profile
+from railsched.policies import POLICY_NAMES, Policy, _wfpa_profile, build_policy, decide
 from railsched.queues import SystemState
 from railsched.solver import SlotInstance, solve_slot
 
-from reference_formulas import objective_value
+from reference_formulas import objective_value, power_for_capacity
 
 CONFIG = default_config()
 
@@ -23,7 +23,7 @@ NOISES = noise_profile(distance_profile(30_000, CONFIG.geometry), CONFIG.radio)
 def bisection_wfpa_profile(noise_trajectory: np.ndarray, avg_power: float) -> np.ndarray:
     """Reference water-filling: 200 bisection passes on the float budget test.
 
-    `wfpa_profile` must give this profile bit for bit.
+    `_wfpa_profile` must give this profile bit for bit.
     """
     if avg_power <= 0:
         raise ValueError("avg_power must be positive")
@@ -50,33 +50,35 @@ def bisection_wfpa_profile(noise_trajectory: np.ndarray, avg_power: float) -> np
 
 class TestProfiles:
     def test_cpa_constant(self):
-        profile = cpa_profile(36.0, 1000)
-        assert profile.shape == (1000,)
-        assert np.all(profile == 36.0)
-        assert profile.mean() == 36.0
+        for name in ("cpa-static", "cpa-dynamic"):
+            profile = build_policy(name, 36.0, 50.0, NOISES[:1000]).power_cap
+            assert profile.shape == (1000,)
+            assert np.all(profile == 36.0)
+            assert profile.mean() == 36.0
 
     def test_cpa_empty_horizon(self):
-        assert cpa_profile(36.0, 0).shape == (0,)
+        for name in ("cpa-static", "cpa-dynamic"):
+            assert build_policy(name, 36.0, 50.0, np.zeros(0)).power_cap.shape == (0,)
 
     def test_wfpa_flat_channel(self):
-        profile = wfpa_profile(np.array([1.0, 1.0, 1.0]), 2.0)
+        profile = _wfpa_profile(np.array([1.0, 1.0, 1.0]), 2.0)
         assert profile == pytest.approx([2.0, 2.0, 2.0], rel=1e-8)
 
     def test_wfpa_known_level(self):
         # sum max(level - N, 0) = 6 over N = [1, 2, 3] gives level 4
-        profile = wfpa_profile(np.array([1.0, 2.0, 3.0]), 2.0)
+        profile = _wfpa_profile(np.array([1.0, 2.0, 3.0]), 2.0)
         assert profile == pytest.approx([3.0, 2.0, 1.0], rel=1e-8)
 
     def test_wfpa_budget_tolerance(self):
         noise = np.random.default_rng(0).uniform(0.01, 5.0, size=4096)
-        profile = wfpa_profile(noise, 2.5)
+        profile = _wfpa_profile(noise, 2.5)
         assert abs(profile.mean() - 2.5) / 2.5 <= 1e-6
 
     @settings(max_examples=50)
     @given(st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=64), st.floats(min_value=0.1, max_value=20.0))
     def test_wfpa_optimality_conditions(self, noise, budget):
         noise = np.asarray(noise)
-        profile = wfpa_profile(noise, budget)
+        profile = _wfpa_profile(noise, budget)
         active = profile > 0
         levels = profile[active] + noise[active]
         # every transmitting slot touches one shared water level ...
@@ -96,31 +98,33 @@ class TestProfiles:
     )
     def test_wfpa_matches_bisection(self, noise, budget):
         noise = np.asarray(noise)
-        assert np.array_equal(wfpa_profile(noise, budget), bisection_wfpa_profile(noise, budget))
+        assert np.array_equal(_wfpa_profile(noise, budget), bisection_wfpa_profile(noise, budget))
 
     def test_wfpa_matches_bisection_on_trip(self):
         noise = noise_profile(distance_profile(CONFIG.horizon, CONFIG.geometry), CONFIG.radio)
         for budget in (0.001, 0.5, 8.85, 36.0):
-            assert np.array_equal(wfpa_profile(noise, budget), bisection_wfpa_profile(noise, budget))
+            assert np.array_equal(_wfpa_profile(noise, budget), bisection_wfpa_profile(noise, budget))
 
     def test_wfpa_rejects_bad_budget(self):
-        with pytest.raises(ValueError):
-            wfpa_profile(np.array([1.0]), 0.0)
+        # the budget is checked before any cap is built, so the water-filling
+        # never sees the bad noise
+        for name in POLICY_NAMES:
+            with pytest.raises(ValueError, match="^avg_power must be finite and positive, got 0.0$"):
+                build_policy(name, 0.0, 50.0, np.array([-1.0, 1.0]))
 
     def test_wfpa_rejects_bad_noise(self):
         for noise in ([1.0, -1.0], [np.nan, 1.0]):
             with pytest.raises(ValueError, match="noise trajectory"):
-                wfpa_profile(np.array(noise), 2.0)
+                _wfpa_profile(np.array(noise), 2.0)
 
     def test_wfpa_gives_infinite_noise_zero_power(self):
-        assert wfpa_profile(np.array([np.inf, 1.0]), 1.0).tolist() == [0.0, 2.0]
+        assert _wfpa_profile(np.array([np.inf, 1.0]), 1.0).tolist() == [0.0, 2.0]
 
     @pytest.mark.parametrize("budget", [np.nan, np.inf, 0.0])
     def test_profiles_reject_non_finite_or_nonpositive_budget(self, budget):
-        with pytest.raises(ValueError, match="avg_power must be finite and positive"):
-            cpa_profile(budget, 3)
-        with pytest.raises(ValueError, match="avg_power must be finite and positive"):
-            wfpa_profile(np.array([1.0, 2.0]), budget)
+        for name in POLICY_NAMES:
+            with pytest.raises(ValueError, match=f"^avg_power must be finite and positive, got {budget}$"):
+                build_policy(name, budget, 50.0, np.array([1.0, 2.0]))
 
 
 class TestBuildPolicy:
@@ -147,7 +151,7 @@ class TestBuildPolicy:
         # a static policy transmits its precomputed profile, which must be a valid power cap
         policy = build_policy("cpa-static", 36.0, 50.0, np.ones(4))
         assert policy.static and np.all(policy.power_cap == 36.0)
-        # the CPA profile itself rejects a NaN budget
+        # a NaN budget is rejected before the cap is built
         with pytest.raises(ValueError, match="avg_power must be finite and positive"):
             build_policy("cpa-static", float("nan"), 50.0, np.ones(4))
         with pytest.raises(ValueError, match="proposed power cap"):

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from railsched import policies, solver
-from railsched.channel import capacity_cap_profile, power_for_capacity
+from railsched.channel import capacity_cap_profile
 from railsched.config import default_config, with_updates
 from railsched.engine import run
 from railsched.policies import build_policy, decide
 from railsched.queues import SystemState
 from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, service_order, solve_slot
 
-from reference_formulas import exhaustive_best_split, golden_section_slot, link_capacity, m1_value, m2_value, objective_value, random_instance
+from reference_formulas import exhaustive_best_split, golden_section_slot, link_capacity, m1_value, m2_value, objective_value, power_for_capacity, random_instance
 
 ETA = 0.048
 ORACLE_RTOL = 1e-9  # the relative objective gap acceptance criterion 1 allows
@@ -263,7 +263,7 @@ class TestSolveSlot:
         assert abs(fast.objective - slow.objective) / scale <= 1e-9
         assert fast.capacity == slow.capacity
         assert fast.allocation == slow.allocation
-        # solve_slot prices C* inline; brute force prices it with power_for_capacity
+        # both solvers price C* with the one expression, so the powers match bit for bit
         assert fast.power.hex() == slow.power.hex()
 
     def test_oracle_equivalence_at_near_ties(self):

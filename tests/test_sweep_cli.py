@@ -167,6 +167,9 @@ class TestSweep:
             SweepSpec(parameter="omega", values=(1.0,), policies=("proposed",), replications=0)
         with pytest.raises(ValueError):
             SweepSpec(parameter="omega", values=(1.0,), policies=())
+        # read_sweep refuses a non-finite value, so the spec does too
+        with pytest.raises(ValueError, match="values must be finite"):
+            SweepSpec(parameter="omega", values=(math.nan, 0.5), policies=("proposed",))
 
 
 @pytest.fixture(scope="module")
@@ -399,6 +402,12 @@ class TestCli:
         assert (tmp_path / "out" / "trace.csv").exists()
         assert (tmp_path / "out" / "summary.txt").exists()
         assert "avg power" in capsys.readouterr().out
+
+    def test_run_reports_drops(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[traffic]\nbuffer_cap_pkts = 15\navg_power_w = 0.5\n")
+        assert main(["run", "--config", str(cfg), "--horizon", "300", "--no-trace", "--out", str(tmp_path / "out")]) == 0
+        assert "dropped packets per service: (" in capsys.readouterr().out
 
     def test_run_is_deterministic_end_to_end(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
