@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .channel import Geometry, RadioParams
 from .policies import POLICY_NAMES
 from .queues import TrafficParams
@@ -92,8 +94,8 @@ def _convert(key: str, raw):
     try:
         if kind is str:
             return str(raw).strip()
-        # Python takes a bool as a number, but no config value is one.
-        if isinstance(raw, bool) or (isinstance(raw, (tuple, list)) and any(isinstance(v, bool) for v in raw)):
+        # Python and numpy take a bool as a number, but no config value or entry is one.
+        if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(raw, dtype=object).ravel()):
             raise TypeError
         if key in _PER_SERVICE and not isinstance(raw, numbers.Real):
             if isinstance(raw, str) and "," not in raw:

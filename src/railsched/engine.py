@@ -254,10 +254,11 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
     the packet cap as capacity; a solver policy must carry the slot optimum
     C* at power N(2^(eta C*) - 1), no more than its cap.  Both split the
     packets greedily in descending X.  C* is found for all slots at once by
-    a vectorised threshold rule; where it differs from the recorded capacity
-    (np.log2 and numpy's power can differ from the math module in the last
-    ulp), `brute_force_slot` settles the slot, since a rerun of `solve_slot`
-    would vouch for its own mistakes.
+    the threshold rule in closed form and stands where `solve_slot`'s own
+    stop rule holds at it; where that rule fails or C* differs from the
+    recorded capacity (np.log2 and numpy's power can differ from the math
+    module in the last ulp), `brute_force_slot` settles the slot, since a
+    rerun of `solve_slot` would vouch for its own mistakes.
 
     Raises AssertionError naming the first slot whose action is wrong.
     """
@@ -286,8 +287,8 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
         power = power_cap
     else:
         beta = config.omega * noises * (num_services * trace.virtual_power)
-        capacity = _slot_optima(xs, prefix, beta, eta, np.minimum(prefix[:, -1], caps))
-        for t in np.flatnonzero(capacity != trace.capacity).tolist():
+        capacity, certified = _slot_optima(xs, prefix, beta, eta, np.minimum(prefix[:, -1], caps))
+        for t in np.flatnonzero(~certified | (capacity != trace.capacity)).tolist():
             inst = SlotInstance(
                 tuple(weights[t].tolist()), tuple(backlogs[t].tolist()), float(beta[t]), eta, float(noises[t]), int(caps[t])
             )
@@ -319,48 +320,32 @@ def _require(bad: np.ndarray, message: str) -> None:
         raise AssertionError(f"slot {int(np.flatnonzero(bad)[0])}: {message}")
 
 
-def _slot_optima(xs: np.ndarray, prefix: np.ndarray, beta: np.ndarray, eta: float, hi: np.ndarray) -> np.ndarray:
-    """`solve_slot`'s capacity for every row at once: threshold walk, then neighbour steps.
+def _slot_optima(xs: np.ndarray, prefix: np.ndarray, beta: np.ndarray, eta: float, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`solve_slot`'s threshold C for every row at once, and whether its stop rule holds there.
 
     Row t holds one slot's weights in descending order (`xs`), the backlog
     prefix sums in that order, the power price and the largest feasible C.
+    Segment i adds its packets in [e_i, e_i+1), e = min(prefix, hi), that lie
+    below ceil(bound_i), its threshold (+inf unpriced, -inf at weight 0); the
+    bounds do not increase, so that is where the walk stops.  C is certified
+    when no step up rises and no step down ties or rises on M, in `_m1`'s sum order.
     """
-    horizon, num_services = xs.shape
-    unit = beta * (2.0**eta - 1.0)
-    priced = unit > 0.0
-    c = np.zeros(horizon, dtype=np.int64)
-    walking = hi > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_unit = np.log2(np.where(priced, unit, 1.0))
-        for i in range(num_services):
-            walking &= (xs[:, i] > 0.0) & (c < hi)
-            last = np.minimum(prefix[:, i + 1], hi)
-            bound = (np.log2(xs[:, i]) - log_unit) / eta
-            stop = walking & priced & ~(bound >= last)
-            lift = stop & (bound > c)
-            c[lift] = np.ceil(bound[lift])
-            walking &= ~stop
-            c[walking] = last[walking]
 
-    def objective(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
+    def objective(n: np.ndarray) -> np.ndarray:
         # M1 summed segment by segment in `_m1`'s order (segments past n add +0.0).
-        m1 = np.zeros(len(rows))
-        for i in range(num_services):
-            lo = prefix[rows, i]
-            m1 += xs[rows, i] * np.clip(n - lo, 0, prefix[rows, i + 1] - lo)
-        return m1 - beta[rows] * (2.0 ** (eta * n) - 1.0)
+        m1 = np.zeros(len(n))
+        for i in range(xs.shape[1]):
+            m1 += xs[:, i] * np.clip(n - prefix[:, i], 0, prefix[:, i + 1] - prefix[:, i])
+        return m1 - beta * (2.0 ** (eta * n) - 1.0)
 
-    # Step up while the float objective rises, then down while it does not
-    # fall, so ties go to the smaller C.
-    for step, better in ((1, np.greater), (-1, np.greater_equal)):
-        rows = np.flatnonzero(hi > 0)
-        value = objective(rows, c[rows])
-        while rows.size:
-            n = c[rows] + step
-            inside = (n >= 0) & (n <= hi[rows])
-            rows, value, n = rows[inside], value[inside], n[inside]
-            candidate = objective(rows, n)
-            moved = better(candidate, value)
-            rows, value = rows[moved], candidate[moved]
-            c[rows] = n[moved]
-    return c
+    # A price past the doubles is inf here as in the solver's Python floats.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        unit = beta * (2.0**eta - 1.0)
+        bound = (np.log2(xs) - np.log2(np.where(unit > 0.0, unit, 1.0))[:, None]) / eta
+        bound = np.where(xs > 0.0, np.where((unit > 0.0)[:, None], bound, np.inf), -np.inf)
+        ends = np.minimum(prefix, hi[:, None])
+        c = np.clip(np.ceil(bound) - ends[:, :-1], 0, np.diff(ends, axis=1)).sum(axis=1).astype(np.int64)
+        value = objective(c)
+        rises = objective(np.minimum(c + 1, hi)) > value
+        falls = objective(np.maximum(c - 1, 0)) < value
+    return c, ((c == hi) | ~rises) & ((c == 0) | falls)

@@ -44,12 +44,18 @@ class SweepSpec:
             raise ValueError(f"parameter must be one of {tuple(SWEEP_PARAMETERS)}")
         if not self.values:
             raise ValueError("values must be nonempty")
+        # A bool is a number to Python and numpy, but no swept value is one.
+        if any(isinstance(v, (bool, np.bool_)) for v in self.values):
+            raise ValueError(f"values must be numbers, got {self.values}")
         if not all(map(math.isfinite, self.values)):
             raise ValueError(f"values must be finite, got {self.values}")
+        # A bare string would be iterated as one-letter policy names.
+        if isinstance(self.policies, str):
+            raise ValueError(f"policies must be a sequence of names, got the string {self.policies!r}")
         if not self.policies:
             raise ValueError("policies must be nonempty")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        if type(self.replications) is not int or self.replications < 1:
+            raise ValueError(f"replications must be an int >= 1, got {self.replications!r}")
 
 
 @dataclass

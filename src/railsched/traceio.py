@@ -152,6 +152,9 @@ def _check_rows(path, schema: list[tuple[str, str, bool, int | None]], k_count: 
         for (name, _, integer, _), raw in zip(schema, fields):
             try:
                 value = int(raw) if integer else float(raw)
+                # Python also takes non-ASCII digits, `_` and any int size; numpy does not.
+                if not raw.isascii() or "_" in raw or (integer and not -(2**63) <= value < 2**63):
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"{path}: row {row}, column {name}: {raw!r} is not {'an integer' if integer else 'a number'}") from None
             if not integer and not math.isfinite(value):

@@ -202,6 +202,10 @@ class TestValidation:
             pytest.param("avg_power_w", True, "traffic", id="avg_power_w-True-traffic"),
             pytest.param("arrival_rate_pkts", True, "traffic", id="arrival_rate_pkts-True-traffic"),
             pytest.param("arrival_rate_pkts", [20.0] * 5 + [True], "traffic", id="arrival_rate_pkts-one_True-traffic"),
+            pytest.param("omega", np.True_, "control", id="omega-np.True_-control"),
+            pytest.param("avg_power_w", np.True_, "traffic", id="avg_power_w-np.True_-traffic"),
+            pytest.param("arrival_rate_pkts", np.array([True] * 6), "traffic", id="arrival_rate_pkts-np.True_array-traffic"),
+            pytest.param("arrival_rate_pkts", [20.0] * 5 + [np.True_], "traffic", id="arrival_rate_pkts-one_np.True_-traffic"),
         ],
     )
     def test_bad_field_value(self, field, value, section):
@@ -267,7 +271,7 @@ class TestValidation:
         with pytest.raises(ConfigError, match=pattern):
             with_updates(default_config(), **{bare: "abc"})
 
-    @pytest.mark.parametrize("value", [2.5, "2.5", True], ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("value", [2.5, "2.5", True, np.True_], ids=["float", "str", "bool", "numpy-bool"])
     @pytest.mark.parametrize("key", ["traffic.num_services", "traffic.buffer_cap_pkts", "run.horizon", "run.seed"])
     def test_integer_key_takes_whole_numbers(self, key, value):
         pattern = rf"^{re.escape(key)}: expected a whole number"
@@ -507,13 +511,14 @@ class TestTraceRejectsBadFiles:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 2, column X3: non-finite value 'nan'$"):
             read_trace(path)
 
-    def test_fault_only_numpy_sees_keeps_its_words(self, tmp_path, short_run):
-        # Python's int takes "1_0" and numpy's does not: the row-by-row check
-        # finds nothing, so numpy's own message is raised
-        path = self.write_edited(tmp_path, short_run[1], lambda lines: self.set_field(lines, 3, "C", "1_0"))
-        message = f"{path}: could not convert string '1_0' to int64 at row 3, column 5."
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            read_trace(path)
+    def test_fault_only_numpy_sees_is_named(self, tmp_path, short_run):
+        # Python's int and float take these and numpy's parser does not; the
+        # row-by-row check names the column, not numpy's column position
+        for column, value, kind in [("C", "1_0", "an integer"), ("C", "١", "an integer"), ("C", str(2**63), "an integer"), ("d", "1_0.5", "a number")]:
+            path = self.write_edited(tmp_path, short_run[1], lambda lines: self.set_field(lines, 3, column, value))
+            message = f"{path}: row 3, column {column}: {value!r} is not {kind}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read_trace(path)
 
     def test_header_with_wrong_k(self, tmp_path, short_run):
         path = self.write_edited(tmp_path, short_run[1], lambda lines: lines.__setitem__(0, ",".join(trace_columns(5))))

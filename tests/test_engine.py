@@ -266,6 +266,21 @@ def test_audit_checks_the_named_policy():
         audit_decisions(trace, small_config(horizon=100), "proposed")
 
 
+def test_audit_settles_an_uncertified_threshold():
+    # slot 150 rebuilt as X = (7, 0, ...), Q = (6, 0, ...) at a power price
+    # where np.log2's threshold takes packet 6 but the float objective ties
+    # M(5) = M(6): the threshold is not certified, and the oracle's C is 5
+    config = small_config(horizon=300)
+    trace, _ = run(config)
+    t = 150
+    trace.virtual_delay[t], trace.queues[t], trace.virtual_power[t] = [7.0] + [0.0] * 5, [6] + [0] * 5, 246942099.85019785
+    trace.capacity[t] = trace.served[t] = 6
+    trace.allocation[t] = [6] + [0] * 5
+    trace.power[t] = float(trace.noise[t]) * (2.0 ** (config.radio.eta * 6) - 1.0)
+    with pytest.raises(AssertionError, match=f"^slot {t}: recorded capacity 6 but the slot optimum is 5$"):
+        audit_decisions(trace, config, "proposed")
+
+
 @pytest.fixture(scope="module")
 def six_service_run():
     config = small_config(horizon=200, seed=1)
@@ -426,7 +441,7 @@ PINNED_OUTPUTS = {
 
 
 @pytest.mark.parametrize("scenario, policy", sorted(PINNED_OUTPUTS))
-def test_outputs_pinned(tmp_path, scenario, policy):
+def test_outputs_pinned(tmp_path, monkeypatch, scenario, policy):
     """Output files stay byte-identical for a fixed (config, policy, seed).
 
     The digests were generated with the engine that kept one power virtual
@@ -437,7 +452,8 @@ def test_outputs_pinned(tmp_path, scenario, policy):
     engine that still summed admitted packets and drops slot by slot; the
     fractional-drain scenario's with the writer that printed every float
     column with %.17g.  A change that alters any decision or any written
-    byte fails here, and every recorded decision must be the policy's own.
+    byte fails here, and every recorded decision must be the policy's own,
+    certified without the brute-force oracle.
     """
     config = load_config(None, seed=1, **PINNED_SCENARIOS[scenario])
     trace, summary = run(config, policy=policy)
@@ -447,7 +463,9 @@ def test_outputs_pinned(tmp_path, scenario, policy):
         # X is whole in some write chunks (printed with %d) and not in others.
         chunks = np.split(trace.virtual_delay, range(_WRITE_CHUNK_ROWS, len(trace), _WRITE_CHUNK_ROWS))
         assert {bool(np.all(chunk == np.trunc(chunk))) for chunk in chunks} == {True, False}
-    audit_decisions(trace, config, policy)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "brute_force_slot", lambda inst: pytest.fail(f"oracle called on {inst}"))
+        audit_decisions(trace, config, policy)
     write_trace(trace, tmp_path / "trace.csv")
     write_summary(summary, tmp_path / "summary.txt")
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("trace.csv", "summary.txt"))

@@ -5,13 +5,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from railsched import policies, solver
 from railsched.channel import capacity_cap_profile
 from railsched.config import default_config, with_updates
-from railsched.engine import run
+from railsched.engine import _slot_optima, run
 from railsched.policies import build_policy, decide
 from railsched.queues import SystemState
 from railsched.solver import SlotInstance, brute_force_slot, greedy_allocation, service_order, solve_slot
@@ -438,6 +438,8 @@ def descending_fill(inst, capacity):
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(walk_back_instances(), serve_all_instances(), large_instances()))
+# np.log2's threshold is 6 where the float objective falls from 5 to 6
+@example(make_instance([7.0, 0.0, 0.0, 0.0], [6, 0, 0, 0], beta=175.20213403260863))
 def test_walk_back_matches_oracle(inst):
     fast, slow = _solve_or_error(solve_slot, inst), _solve_or_error(brute_force_slot, inst)
     if isinstance(slow, ValueError) or isinstance(fast, ValueError):
@@ -448,6 +450,13 @@ def test_walk_back_matches_oracle(inst):
     assert abs(fast.objective - slow.objective) <= ORACLE_RTOL * max(1.0, abs(slow.objective))
     for capacity in (inst.total_backlog, slow.capacity):
         assert greedy_allocation(capacity, inst) == descending_fill(inst, capacity)
+    # the audit's closed-form threshold, as a one-row trace: a C it certifies is the oracle's
+    order = service_order(inst)
+    xs = np.array([[inst.weights[k] for k in order]])
+    prefix = np.array([list(itertools.accumulate((inst.backlogs[k] for k in order), initial=0))])
+    hi = np.array([min(inst.total_backlog, inst.capacity_cap)])
+    c, certified = _slot_optima(xs, prefix, np.array([inst.beta]), inst.eta, hi)
+    assert not certified[0] or c[0] == slow.capacity, inst
 
 
 def _matches_golden_section(inst):

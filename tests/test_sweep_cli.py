@@ -170,6 +170,14 @@ class TestSweep:
         # read_sweep refuses a non-finite value, so the spec does too
         with pytest.raises(ValueError, match="values must be finite"):
             SweepSpec(parameter="omega", values=(math.nan, 0.5), policies=("proposed",))
+        # a fractional count reached run_sweep as a bare TypeError, a string ran
+        # one failed cell per letter, and True ran a cell at omega = 1.0
+        with pytest.raises(ValueError, match="replications must be an int"):
+            SweepSpec(parameter="omega", values=(1.0,), policies=("proposed",), replications=2.5)
+        with pytest.raises(ValueError, match="policies must be a sequence"):
+            SweepSpec(parameter="omega", values=(1.0,), policies="proposed")
+        with pytest.raises(ValueError, match="values must be numbers"):
+            SweepSpec(parameter="omega", values=(0.5, True), policies=("proposed",))
 
 
 @pytest.fixture(scope="module")
