@@ -255,10 +255,10 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
     C* at power N(2^(eta C*) - 1), no more than its cap.  Both split the
     packets greedily in descending X.  C* is found for all slots at once by
     the threshold rule in closed form and stands where `solve_slot`'s own
-    stop rule holds at it; where that rule fails or C* differs from the
-    recorded capacity (np.log2 and numpy's power can differ from the math
-    module in the last ulp), `brute_force_slot` settles the slot, since a
-    rerun of `solve_slot` would vouch for its own mistakes.
+    stop rule holds at it.  `_prices` prices counts as the solver does, so
+    only np.log2 can differ from the math module (in the last ulp); where
+    the rule fails or C* is not the recorded capacity, `brute_force_slot`
+    settles the slot, since a rerun of `solve_slot` would vouch for itself.
 
     Raises AssertionError naming the first slot whose action is wrong.
     """
@@ -295,9 +295,7 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
             capacity[t] = brute_force_slot(inst).capacity
             if capacity[t] != trace.capacity[t]:
                 raise AssertionError(f"slot {t}: recorded capacity {trace.capacity[t]} but the slot optimum is {capacity[t]}")
-        served = capacity
-        # Python's float power, as the solver prices C*; numpy's can differ in the last ulp.
-        power = np.array([n * (2.0 ** (eta * c) - 1.0) for n, c in zip(noises.tolist(), capacity.tolist())])
+        served, power = capacity, noises * _prices(eta, capacity)
         _require(power > power_cap, "the slot optimum needs more than the power cap")
 
     share = np.clip(served[:, None] - prefix[:, :-1], 0, np.diff(prefix, axis=1))
@@ -320,6 +318,12 @@ def _require(bad: np.ndarray, message: str) -> None:
         raise AssertionError(f"slot {int(np.flatnonzero(bad)[0])}: {message}")
 
 
+def _prices(eta: float, counts: np.ndarray) -> np.ndarray:
+    """2^(eta n) - 1 per count n, one Python float power per distinct n (inf past the doubles), as the solver prices n."""
+    distinct, where = np.unique(counts, return_inverse=True)
+    return np.array([2.0 ** (eta * n) - 1.0 if eta * n < 1024.0 else np.inf for n in distinct.tolist()])[where].reshape(counts.shape)
+
+
 def _slot_optima(xs: np.ndarray, prefix: np.ndarray, beta: np.ndarray, eta: float, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`solve_slot`'s threshold C for every row at once, and whether its stop rule holds there.
 
@@ -328,24 +332,18 @@ def _slot_optima(xs: np.ndarray, prefix: np.ndarray, beta: np.ndarray, eta: floa
     Segment i adds its packets in [e_i, e_i+1), e = min(prefix, hi), that lie
     below ceil(bound_i), its threshold (+inf unpriced, -inf at weight 0); the
     bounds do not increase, so that is where the walk stops.  C is certified
-    when no step up rises and no step down ties or rises on M, in `_m1`'s sum order.
+    when no step up rises and no step down ties or rises on M as the solver sums it.
     """
-
-    def objective(n: np.ndarray) -> np.ndarray:
-        # M1 summed segment by segment in `_m1`'s order (segments past n add +0.0).
-        m1 = np.zeros(len(n))
-        for i in range(xs.shape[1]):
-            m1 += xs[:, i] * np.clip(n - prefix[:, i], 0, prefix[:, i + 1] - prefix[:, i])
-        return m1 - beta * (2.0 ** (eta * n) - 1.0)
-
-    # A price past the doubles is inf here as in the solver's Python floats.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         unit = beta * (2.0**eta - 1.0)
         bound = (np.log2(xs) - np.log2(np.where(unit > 0.0, unit, 1.0))[:, None]) / eta
         bound = np.where(xs > 0.0, np.where((unit > 0.0)[:, None], bound, np.inf), -np.inf)
         ends = np.minimum(prefix, hi[:, None])
         c = np.clip(np.ceil(bound) - ends[:, :-1], 0, np.diff(ends, axis=1)).sum(axis=1).astype(np.int64)
-        value = objective(c)
-        rises = objective(np.minimum(c + 1, hi)) > value
-        falls = objective(np.maximum(c - 1, 0)) < value
-    return c, ((c == hi) | ~rises) & ((c == 0) | falls)
+        # M at C, C+1 and C-1: M1 in `_m1`'s order (segments past n add +0.0).
+        n = np.stack([c, np.minimum(c + 1, hi), np.maximum(c - 1, 0)])
+        m1 = np.zeros(n.shape)
+        for i in range(xs.shape[1]):
+            m1 += xs[:, i] * np.clip(n - prefix[:, i], 0, prefix[:, i + 1] - prefix[:, i])
+        value, up, down = m1 - beta * _prices(eta, n)
+    return c, ((c == hi) | ~(up > value)) & ((c == 0) | (down < value))

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Optional
 
@@ -42,18 +44,16 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.parameter not in SWEEP_PARAMETERS:
             raise ValueError(f"parameter must be one of {tuple(SWEEP_PARAMETERS)}")
-        if not self.values:
-            raise ValueError("values must be nonempty")
-        # A bool is a number to Python and numpy, but no swept value is one.
-        if any(isinstance(v, (bool, np.bool_)) for v in self.values):
-            raise ValueError(f"values must be numbers, got {self.values}")
-        if not all(map(math.isfinite, self.values)):
-            raise ValueError(f"values must be finite, got {self.values}")
-        # A bare string would be iterated as one-letter policy names.
-        if isinstance(self.policies, str):
-            raise ValueError(f"policies must be a sequence of names, got the string {self.policies!r}")
-        if not self.policies:
-            raise ValueError("policies must be nonempty")
+        # A string is a sequence and a bool is a Real to Python (numpy's is not); neither field takes one.
+        values, policies = self.values, self.policies
+        if isinstance(values, str) or not isinstance(values, Sequence) or not values or not all(
+            isinstance(v, Real) and not isinstance(v, bool) for v in values
+        ):
+            raise ValueError(f"values must be numbers in a nonempty sequence, got {values!r}")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"values must be finite, got {values}")
+        if isinstance(policies, str) or not isinstance(policies, Sequence) or not policies or not all(isinstance(name, str) for name in policies):
+            raise ValueError(f"policies must be a sequence of one or more names, got {policies!r}")
         if type(self.replications) is not int or self.replications < 1:
             raise ValueError(f"replications must be an int >= 1, got {self.replications!r}")
 

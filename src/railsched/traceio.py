@@ -107,13 +107,15 @@ def read_trace(path: str | Path) -> Trace:
                 src.readline()
                 _check_rows(path, schema, k_count, src)
                 raise ValueError(f"{path}: {exc}") from None
+    # (first non-finite row, column index) for each float column; the least pair is the first fault in file order.
+    floats = [column for column, _, integer, _ in schema if not integer]
+    faults = [(int(np.argmax(bad)), i) for i, column in enumerate(floats) if (bad := ~np.isfinite(rows[column])).any()]
+    if faults:
+        row, i = min(faults)
+        raise ValueError(f"{path}: row {row}, column {floats[i]}: non-finite value {float(rows[floats[i]][row])!r}")
     fields = {}
-    for column, name, integer, k in schema:
+    for column, name, _, k in schema:
         values = rows[column]
-        if not integer:
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise ValueError(f"{path}: row {bad[0]}, column {column}: non-finite value {float(values[bad[0]])!r}")
         if k is None:
             fields[name] = np.ascontiguousarray(values)
         else:

@@ -511,6 +511,17 @@ class TestTraceRejectsBadFiles:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 2, column X3: non-finite value 'nan'$"):
             read_trace(path)
 
+    def test_first_non_finite_value_named_in_file_order(self, tmp_path, short_run):
+        # both parse; the earlier row is named although its column comes later in the schema
+        def edit(lines):
+            self.set_field(lines, 2, "Y", "nan")
+            self.set_field(lines, 10, "d", "inf")
+            self.set_field(lines, 2, "X4", "-inf")
+
+        path = self.write_edited(tmp_path, short_run[1], edit)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 2, column X4: non-finite value -inf$"):
+            read_trace(path)
+
     def test_fault_only_numpy_sees_is_named(self, tmp_path, short_run):
         # Python's int and float take these and numpy's parser does not; the
         # row-by-row check names the column, not numpy's column position

@@ -267,18 +267,22 @@ def test_audit_checks_the_named_policy():
 
 
 def test_audit_settles_an_uncertified_threshold():
-    # slot 150 rebuilt as X = (7, 0, ...), Q = (6, 0, ...) at a power price
-    # where np.log2's threshold takes packet 6 but the float objective ties
-    # M(5) = M(6): the threshold is not certified, and the oracle's C is 5
-    config = small_config(horizon=300)
-    trace, _ = run(config)
-    t = 150
-    trace.virtual_delay[t], trace.queues[t], trace.virtual_power[t] = [7.0] + [0.0] * 5, [6] + [0] * 5, 246942099.85019785
-    trace.capacity[t] = trace.served[t] = 6
-    trace.allocation[t] = [6] + [0] * 5
-    trace.power[t] = float(trace.noise[t]) * (2.0 ** (config.radio.eta * 6) - 1.0)
-    with pytest.raises(AssertionError, match=f"^slot {t}: recorded capacity 6 but the slot optimum is 5$"):
-        audit_decisions(trace, config, "proposed")
+    # slot 150 rebuilt as X = (x, 0, ...), Q = (q, 0, ...) at a power price
+    # where M(q - 1) = M(q) on the float objective, so the threshold is not
+    # certified and the oracle's C is q - 1:
+    # - x = 7, q = 6: np.log2's threshold takes packet 6;
+    # - eta = 0.2 (1000-bit packets in a 1 ms slot at 5 MHz), q = 14: numpy's
+    #   power of 0.2 * 14 is one ulp below Python's and would certify 14
+    for packet_bits, x, q, y in [(240.0, 7.0, 6, 246942099.85019785), (1000.0, 15.905000705860544, 14, 24865963.10735834)]:
+        config = small_config(horizon=300, packet_bits=packet_bits)
+        trace, _ = run(config)
+        t = 150
+        trace.virtual_delay[t], trace.queues[t], trace.virtual_power[t] = [x] + [0.0] * 5, [q] + [0] * 5, y
+        trace.capacity[t] = trace.served[t] = q
+        trace.allocation[t] = [q] + [0] * 5
+        trace.power[t] = float(trace.noise[t]) * (2.0 ** (config.radio.eta * q) - 1.0)
+        with pytest.raises(AssertionError, match=f"^slot {t}: recorded capacity {q} but the slot optimum is {q - 1}$"):
+            audit_decisions(trace, config, "proposed")
 
 
 @pytest.fixture(scope="module")

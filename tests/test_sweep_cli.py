@@ -178,6 +178,12 @@ class TestSweep:
             SweepSpec(parameter="omega", values=(1.0,), policies="proposed")
         with pytest.raises(ValueError, match="values must be numbers"):
             SweepSpec(parameter="omega", values=(0.5, True), policies=("proposed",))
+        # a string value or a bare number raised a bare TypeError, and a policy that is no name was taken
+        for values in (("0.5",), 0.5):
+            with pytest.raises(ValueError, match="values must be numbers"):
+                SweepSpec(parameter="omega", values=values, policies=("proposed",))
+        with pytest.raises(ValueError, match="policies must be a sequence"):
+            SweepSpec(parameter="omega", values=(1.0,), policies=("proposed", 7))
 
 
 @pytest.fixture(scope="module")
