@@ -28,6 +28,10 @@ from .policies import build_policy, decide
 from .queues import ArrivalProcess, SystemState, update_real_queue, update_virtual_delay, update_virtual_power
 from .solver import SlotInstance, brute_force_slot
 
+# Rows of a trace that every whole-trace pass (recording, replay, summary,
+# `traceio`'s writer and reader) takes at a time; bounds its temporaries.
+_CHUNK_ROWS = 1024
+
 
 @dataclass
 class Trace:
@@ -122,8 +126,8 @@ def run(
 
     # Trace rows gather in two flat lists, copied into the arrays once per
     # chunk; the chunk's arrivals are converted to Python lists once.
-    for start in range(0, horizon, _RECORD_CHUNK_SLOTS):
-        stop = min(start + _RECORD_CHUNK_SLOTS, horizon)
+    for start in range(0, horizon, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, horizon)
         floats, ints, arrivals = [], [], arrivals_all[start:stop].tolist()
         for t in range(start, stop):
             power, allocation, capacity = decide(policy, state, power_cap_at[t], noise_at[t], cap_at[t], eta, omega)
@@ -165,11 +169,6 @@ def run(
     return trace, summary
 
 
-# Slots whose arrivals and trace rows are held as Python lists at a time;
-# bounds the memory they take.
-_RECORD_CHUNK_SLOTS = 1024
-
-
 def _record(trace: Trace, start: int, floats: list[float], ints: list[int]) -> None:
     """Copy recorded rows into `trace` from slot `start` on.
 
@@ -204,44 +203,54 @@ def _summary_from_totals(power_sum, backlog_sum, admitted_sum, drop_sum, horizon
 
 
 def summarize(trace: Trace, config: ScenarioConfig) -> SimSummary:
-    """Recompute the run summary from a trace."""
+    """Recompute the run summary from a trace, one chunk of rows at a time."""
     if len(trace) == 0:
         raise ValueError("cannot summarize an empty trace")
     _check_services(trace, config)
     traffic = config.traffic
-    queues, arrivals = trace.queues, trace.arrivals
-
-    # Per-service drops are a pure function of the row: overflow beyond the cap.
-    dropped = np.maximum(queues - trace.allocation + arrivals - traffic.buffer_cap, 0)
-
-    # In-order sums, matching the in-run streaming sums bit for bit (since
-    # Python 3.12 the builtin sum compensates float additions; cumsum does not).
-    power_sum = float(np.cumsum(trace.power)[-1])
-    backlog_sum = [int(queues[:, k].sum()) for k in range(trace.num_services)]
-    admitted_sum = [int((arrivals[:, k] - dropped[:, k]).sum()) for k in range(trace.num_services)]
-    drop_sum = [int(dropped[:, k].sum()) for k in range(trace.num_services)]
-    return _summary_from_totals(power_sum, backlog_sum, admitted_sum, drop_sum, len(trace), traffic)
+    power_sum = np.zeros(0)
+    totals = np.zeros((3, trace.num_services), dtype=np.int64)  # backlog, admitted, dropped
+    for start in range(0, len(trace), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        queues, arrivals = trace.queues[rows], trace.arrivals[rows]
+        # Per-service drops are a pure function of the row: overflow beyond the cap.
+        dropped = np.maximum(queues - trace.allocation[rows] + arrivals - traffic.buffer_cap, 0)
+        # An in-order power sum carried over the chunks, bit for bit run()'s (the builtin
+        # sum compensates floats since Python 3.12; cumsum does not).  int64 sums need no order.
+        power_sum = np.cumsum(np.concatenate((power_sum, trace.power[rows])))[-1:]
+        totals += [queues.sum(axis=0), (arrivals - dropped).sum(axis=0), dropped.sum(axis=0)]
+    backlog_sum, admitted_sum, drop_sum = totals.tolist()
+    return _summary_from_totals(float(power_sum[0]), backlog_sum, admitted_sum, drop_sum, len(trace), traffic)
 
 
 def replay_check(trace: Trace, config: ScenarioConfig) -> None:
     """Verify every stored transition against the update equations, exactly.
 
-    Raises AssertionError on the first slot whose successor row is not the
-    one the recursions produce, whose slot number is not its row number, or
-    whose served or drop count is not the sum of its own split or overflow.
+    Raises AssertionError naming the earliest slot whose slot number is not
+    its row number, whose served count is not the sum of its split, whose
+    successor's Q, X or Y is not the one the recursions produce, or whose
+    drop count is not its overflow; of faults in one slot, the first in that
+    order.  It runs one chunk of rows at a time, plus the last one's successor.
     """
     _check_services(trace, config)
-    traffic = config.traffic
-    _require(trace.slot != np.arange(len(trace)), "slot-number replay mismatch")
-    _require(trace.served != trace.allocation.sum(axis=1), "served-count replay mismatch")
-    q_next = np.minimum(trace.queues[:-1] - trace.allocation[:-1] + trace.arrivals[:-1], traffic.buffer_cap)
-    _require(np.any(q_next != trace.queues[1:], axis=1), "real-queue replay mismatch")
-    x_next = np.maximum(trace.virtual_delay[:-1] - np.array(traffic.delay_drains), 0.0) + q_next
-    _require(np.any(x_next != trace.virtual_delay[1:], axis=1), "delay virtual-queue replay mismatch")
-    y_next = np.maximum(trace.virtual_power[:-1] - traffic.avg_power, 0.0) + trace.power[:-1]
-    _require(y_next != trace.virtual_power[1:], "power virtual-queue replay mismatch")
-    drops = np.maximum(trace.queues - trace.allocation + trace.arrivals - traffic.buffer_cap, 0).sum(axis=1)
-    _require(drops != trace.drops, "drop-count replay mismatch")
+    traffic, horizon = config.traffic, len(trace)
+    for start in range(0, horizon, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, horizon)
+        # The chunk's rows; those with a successor row, and their successors.
+        rows, cur, nxt = slice(start, stop), slice(start, min(stop, horizon - 1)), slice(start + 1, stop + 1)
+        q_next = np.minimum(trace.queues[cur] - trace.allocation[cur] + trace.arrivals[cur], traffic.buffer_cap)
+        x_next = np.maximum(trace.virtual_delay[cur] - np.array(traffic.delay_drains), 0.0) + q_next
+        y_next = np.maximum(trace.virtual_power[cur] - traffic.avg_power, 0.0) + trace.power[cur]
+        drops = np.maximum(trace.queues[rows] - trace.allocation[rows] + trace.arrivals[rows] - traffic.buffer_cap, 0).sum(axis=1)
+        checks = [
+            (trace.slot[rows] != np.arange(start, stop), "slot-number replay mismatch"),
+            (trace.served[rows] != trace.allocation[rows].sum(axis=1), "served-count replay mismatch"),
+            (np.any(q_next != trace.queues[nxt], axis=1), "real-queue replay mismatch"),
+            (np.any(x_next != trace.virtual_delay[nxt], axis=1), "delay virtual-queue replay mismatch"),
+            (y_next != trace.virtual_power[nxt], "power virtual-queue replay mismatch"),
+            (drops != trace.drops[rows], "drop-count replay mismatch"),
+        ]
+        _require(checks, start)
 
 
 def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
@@ -260,7 +269,9 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
     the rule fails or C* is not the recorded capacity, `brute_force_slot`
     settles the slot, since a rerun of `solve_slot` would vouch for itself.
 
-    Raises AssertionError naming the first slot whose action is wrong.
+    Raises AssertionError naming the earliest slot whose action is wrong; of
+    faults in one slot, the first checked: distance, noise, the oracle's C*,
+    the power cap, then the recorded capacity, power, served count, split.
     """
     horizon, num_services = len(trace), trace.num_services
     if horizon != config.horizon:
@@ -268,9 +279,11 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
     _check_services(trace, config)
     radio, traffic, eta = config.radio, config.traffic, config.radio.eta
     distances = distance_profile(horizon, config.geometry)
-    _require(trace.distance != distances, "recorded distance is not the scenario's d(t)")
     noises = noise_profile(distances, radio)
-    _require(trace.noise != noises, "recorded noise is not the scenario's N(t)")
+    checks = [
+        (trace.distance != distances, "recorded distance is not the scenario's d(t)"),
+        (trace.noise != noises, "recorded noise is not the scenario's N(t)"),
+    ]
     rule = build_policy(policy, traffic.avg_power, radio.max_power, noises)
     power_cap = rule.power_cap
     caps = capacity_cap_profile(noises, power_cap, eta)
@@ -294,17 +307,22 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
             )
             capacity[t] = brute_force_slot(inst).capacity
             if capacity[t] != trace.capacity[t]:
-                raise AssertionError(f"slot {t}: recorded capacity {trace.capacity[t]} but the slot optimum is {capacity[t]}")
+                # Slots past t stay unsettled; whatever they show comes after t.
+                checks.append((np.arange(horizon) == t, f"recorded capacity {trace.capacity[t]} but the slot optimum is {capacity[t]}"))
+                break
         served, power = capacity, noises * _prices(eta, capacity)
-        _require(power > power_cap, "the slot optimum needs more than the power cap")
+        checks.append((power > power_cap, "the slot optimum needs more than the power cap"))
 
     share = np.clip(served[:, None] - prefix[:, :-1], 0, np.diff(prefix, axis=1))
     allocation = np.empty_like(share)
     np.put_along_axis(allocation, order, share, axis=1)
-    _require(trace.capacity != capacity, "recorded capacity is not the policy's")
-    _require(trace.power != power, "recorded power is not the policy's")
-    _require(trace.served != served, "recorded packets served are not the policy's")
-    _require(np.any(trace.allocation != allocation, axis=1), "recorded split is not the greedy one")
+    checks += [
+        (trace.capacity != capacity, "recorded capacity is not the policy's"),
+        (trace.power != power, "recorded power is not the policy's"),
+        (trace.served != served, "recorded packets served are not the policy's"),
+        (np.any(trace.allocation != allocation, axis=1), "recorded split is not the greedy one"),
+    ]
+    _require(checks)
 
 
 def _check_services(trace: Trace, config: ScenarioConfig) -> None:
@@ -313,9 +331,12 @@ def _check_services(trace: Trace, config: ScenarioConfig) -> None:
         raise ValueError(f"trace has {trace.num_services} services but the scenario has {config.traffic.num_services}")
 
 
-def _require(bad: np.ndarray, message: str) -> None:
-    if bad.any():
-        raise AssertionError(f"slot {int(np.flatnonzero(bad)[0])}: {message}")
+def _require(checks: list[tuple[np.ndarray, str]], start: int = 0) -> None:
+    """Raise AssertionError at the earliest bad slot over (mask, message) checks (row i is slot start + i), a tie to the first."""
+    faults = [(int(np.argmax(bad)), i) for i, (bad, _) in enumerate(checks) if bad.any()]
+    if faults:
+        row, i = min(faults)
+        raise AssertionError(f"slot {start + row}: {checks[i][1]}")
 
 
 def _prices(eta: float, counts: np.ndarray) -> np.ndarray:

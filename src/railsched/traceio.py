@@ -6,7 +6,9 @@ total drops (6 + 4K + 2 columns), listed once in a table below that both
 the writer and the reader follow.  Summaries are `field = value` lines,
 written for people and other tools; nothing here reads them back.  Floats
 are written with 17 significant digits so parsing returns the exact double
-and a write/read/write cycle is byte-identical.
+and a write/read/write cycle is byte-identical.  The writer formats, and
+the reader parses straight into the trace's arrays, one chunk of the
+engine's `_CHUNK_ROWS` rows at a time.
 
 Many float columns hold only whole numbers: X adds whole backlogs and
 drains a whole W_k * lambda_k at the defaults.  `%.17g` prints a whole
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import SimSummary, Trace
+from .engine import _CHUNK_ROWS, SimSummary, Trace
 
 
 def _fmt(value) -> str:
@@ -52,17 +54,13 @@ def trace_columns(num_services: int) -> list[str]:
     return [column for column, *_ in _trace_schema(num_services)]
 
 
-# Rows formatted per write; bounds the strings alive at once.
-_WRITE_CHUNK_ROWS = 2048
-
-
 def write_trace(trace: Trace, path: str | Path) -> None:
     schema = _trace_schema(trace.num_services)
     columns = [getattr(trace, name) if k is None else getattr(trace, name)[:, k] for _, name, _, k in schema]
     with open(path, "w", encoding="utf-8") as out:
         out.write(",".join(trace_columns(trace.num_services)) + "\n")
-        for start in range(0, len(trace), _WRITE_CHUNK_ROWS):
-            chunk = [col[start : start + _WRITE_CHUNK_ROWS] for col in columns]
+        for start in range(0, len(trace), _CHUNK_ROWS):
+            chunk = [col[start : start + _CHUNK_ROWS] for col in columns]
             # One row's text as `_fmt` gives each value: integers in full, floats
             # with 17 digits, or with `%d` where the chunk's column is whole
             # (the same text, cheaper; see the module docstring).
@@ -83,7 +81,9 @@ def read_trace(path: str | Path) -> Trace:
     Rows count from 0 at the first line after the header.  Every row needs
     one field per header column, integer columns whole numbers and float
     columns finite values.  Empty lines may only end the file; a header
-    with no rows gives a zero-length trace.
+    with no rows gives a zero-length trace.  Of several faults, the first
+    in file order is named.  A first pass counts the rows; the second
+    parses them one chunk at a time into the trace's arrays.
     """
     with _named_decode_errors(path), open(path, encoding="utf-8") as src:
         header = src.readline().rstrip("\n").split(",")
@@ -93,33 +93,31 @@ def read_trace(path: str | Path) -> Trace:
         schema = _trace_schema(k_count)
         if header != trace_columns(k_count):
             raise ValueError(f"{path}: unexpected trace header")
+        # Rows up to the last non-empty line; the parse names an empty one among them.
+        body = src.tell()
+        num_rows = max((row + 1 for row, line in enumerate(src) if line != "\n"), default=0)
+        shapes = {None: num_rows, 0: (num_rows, k_count)}  # each field once, at k None or 0
+        fields = {name: np.empty(shapes[k], np.int64 if integer else np.float64) for _, name, integer, k in schema if k in shapes}
+        targets = [fields[name] if k is None else fields[name][:, k] for _, name, _, k in schema]
         dtype = [(column, np.int64 if integer else np.float64) for column, _, integer, _ in schema]
+        floats = [column for column, _, integer, _ in schema if not integer]
+        src.seek(body)
         lines = (line for _, line in _numbered_lines(path, src))
-        first = next(lines, None)
-        if first is None:
-            rows = np.zeros(0, dtype=dtype)
-        else:
+        for start in range(0, num_rows, _CHUNK_ROWS):
             try:
-                rows = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, dtype=dtype, ndmin=1)
+                rows = np.loadtxt(itertools.islice(lines, _CHUNK_ROWS), delimiter=",", comments=None, dtype=dtype, ndmin=1)
             except ValueError as exc:
                 # Locate the fault one field at a time; fall back to numpy's own words.
-                src.seek(0)
-                src.readline()
+                src.seek(body)
                 _check_rows(path, schema, k_count, src)
                 raise ValueError(f"{path}: {exc}") from None
-    # (first non-finite row, column index) for each float column; the least pair is the first fault in file order.
-    floats = [column for column, _, integer, _ in schema if not integer]
-    faults = [(int(np.argmax(bad)), i) for i, column in enumerate(floats) if (bad := ~np.isfinite(rows[column])).any()]
-    if faults:
-        row, i = min(faults)
-        raise ValueError(f"{path}: row {row}, column {floats[i]}: non-finite value {float(rows[floats[i]][row])!r}")
-    fields = {}
-    for column, name, _, k in schema:
-        values = rows[column]
-        if k is None:
-            fields[name] = np.ascontiguousarray(values)
-        else:
-            fields.setdefault(name, np.empty((len(rows), k_count), dtype=values.dtype))[:, k] = values
+            # (first non-finite row, column index) for each float column; the least pair is the first fault in file order.
+            faults = [(int(np.argmax(bad)), i) for i, column in enumerate(floats) if (bad := ~np.isfinite(rows[column])).any()]
+            if faults:
+                row, i = min(faults)
+                raise ValueError(f"{path}: row {start + row}, column {floats[i]}: non-finite value {float(rows[floats[i]][row])!r}")
+            for (column, *_), target in zip(schema, targets):
+                target[start : start + len(rows)] = rows[column]
     return Trace(**fields)
 
 

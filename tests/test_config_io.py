@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from railsched.cli import main
 from railsched.config import _KEYS, ConfigError, default_config, load_config, with_updates
-from railsched.engine import SimSummary, Trace, replay_check, run
-from railsched.traceio import _WRITE_CHUNK_ROWS, _fmt, _trace_schema, read_trace, trace_columns, write_summary, write_trace
+from railsched.engine import _CHUNK_ROWS, SimSummary, Trace, replay_check, run
+from railsched.traceio import _fmt, _trace_schema, read_trace, trace_columns, write_summary, write_trace
 
 
 class TestDefaults:
@@ -342,6 +342,21 @@ def short_run():
     return config, trace, summary
 
 
+@pytest.fixture(scope="module")
+def chunk_run():
+    # three read/write chunks of a recorded run; every prefix of it is a trace
+    trace, _ = run(with_updates(default_config(), horizon=3 * _CHUNK_ROWS, seed=5), policy="wfpa-static")
+    return trace
+
+
+def head(trace, rows):
+    return Trace(**{field.name: getattr(trace, field.name)[:rows] for field in dataclasses.fields(Trace)})
+
+
+# Horizons on either side of the chunk edge, and several whole chunks.
+CHUNK_HORIZONS = [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS]
+
+
 class TestTraceRoundTrip:
     def test_write_read_write_bytes_identical(self, tmp_path, short_run):
         _, trace, _ = short_run
@@ -352,7 +367,7 @@ class TestTraceRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
     def test_writer_matches_row_by_row_reference(self, tmp_path):
-        # 2049 rows cross the writer's 2048-row chunk boundary; a 15-packet
+        # 2049 rows end one row past the writer's second chunk; a 15-packet
         # buffer drops packets; the edited run holds the float edge cases and
         # int64 extremes; the empty trace has no rows.
         trace, _ = run(with_updates(default_config(), horizon=2049, seed=5), policy="wfpa-static")
@@ -386,7 +401,7 @@ class TestTraceRoundTrip:
         write_trace(trace, path)
         assert path.read_text() == reference_trace_text(trace)
 
-    # No shrinking: each example renders over 2048 rows, and shrinking a
+    # No shrinking: each example renders over a chunk of rows, and shrinking a
     # failure took minutes; the failing draws are reported as found.
     @settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(st.data())
@@ -395,7 +410,7 @@ class TestTraceRoundTrip:
         # [0, 2**53), which the writer may print with %d, the second with one
         # fraction.  A few drawn values land anywhere, among them the doubles
         # whose %d and %.17g texts differ: -0.0, 1e17 and larger, fractions.
-        rows, k_count = _WRITE_CHUNK_ROWS + data.draw(st.integers(1, 40)), data.draw(st.integers(1, 2))
+        rows, k_count = _CHUNK_ROWS + data.draw(st.integers(1, 40)), data.draw(st.integers(1, 2))
         edge = st.sampled_from([-0.0, -3.0, 0.5, 2.0**53 - 2, 2.0**53, 2.0**53 + 2, 1e16, 1e17, 5e-324, 2.0**-1030])
         anywhere = st.one_of(edge, st.integers(0, 2**53 - 1).map(float), st.floats(allow_nan=False, allow_infinity=False))
         fraction = st.floats(-1e15, 1e15).filter(lambda v: not v.is_integer())
@@ -409,8 +424,8 @@ class TestTraceRoundTrip:
                 values = np.full(shape, data.draw(ints), dtype=np.int64)
             else:
                 values = np.empty(shape)
-                values[:_WRITE_CHUNK_ROWS] = float(data.draw(st.integers(0, 2**53 - 1)))
-                values[_WRITE_CHUNK_ROWS:] = data.draw(fraction)
+                values[:_CHUNK_ROWS] = float(data.draw(st.integers(0, 2**53 - 1)))
+                values[_CHUNK_ROWS:] = data.draw(fraction)
             for row, value in data.draw(st.lists(st.tuples(st.integers(0, rows - 1), ints if integer else anywhere), max_size=4)):
                 values.reshape(rows, -1)[row, data.draw(st.integers(0, values.size // rows - 1))] = value
             fields[name] = values
@@ -450,6 +465,25 @@ class TestTraceRoundTrip:
         path = tmp_path / "t.csv"
         write_trace(trace, path)
         replay_check(read_trace(path), config)
+
+    @pytest.mark.parametrize("rows", CHUNK_HORIZONS)
+    def test_write_read_write_bytes_at_chunk_edges(self, tmp_path, chunk_run, rows):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_trace(head(chunk_run, rows), first)
+        write_trace(read_trace(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("rows", CHUNK_HORIZONS)
+    @pytest.mark.parametrize("ending", ["no-final-newline", "final-newline", "trailing-empty-lines"])
+    def test_reads_every_file_ending_at_chunk_edges(self, tmp_path, chunk_run, rows, ending):
+        trace, path = head(chunk_run, rows), tmp_path / "t.csv"
+        write_trace(trace, path)
+        text = path.read_text()
+        path.write_text({"no-final-newline": text[:-1], "final-newline": text, "trailing-empty-lines": text + "\n\n"}[ending])
+        loaded = read_trace(path)
+        for field in dataclasses.fields(Trace):
+            expected, got = getattr(trace, field.name), getattr(loaded, field.name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), field.name
 
     def test_mangled_header_rejected(self, tmp_path, short_run):
         _, trace, _ = short_run
@@ -562,6 +596,39 @@ class TestTraceRejectsBadFiles:
             read_trace(path)
         assert main(["plotdata", "--figure", "fig3", "--source", str(path), "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines, row: TestTraceRejectsBadFiles.set_field(lines, row, "X3", "nan"), "row {row}, column X3: non-finite value"),
+            (lambda lines, row: TestTraceRejectsBadFiles.set_field(lines, row, "P", "fast"), "row {row}, column P: 'fast' is not a number"),
+            (lambda lines, row: lines.insert(1 + row, ""), "row {row} is empty"),
+        ],
+        ids=["non-finite", "malformed", "empty-line"],
+    )
+    def test_fault_named_at_chunk_edges(self, tmp_path, chunk_run, row, edit, message):
+        path = self.write_edited(tmp_path, chunk_run, lambda lines: edit(lines, row))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: ' + message.format(row=row))}"):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (("Y", "inf"), ("Q2", "3.5"), "column Y: non-finite value"),
+            (("Q2", "3.5"), ("Y", "inf"), "column Q2: '3.5' is not an integer"),
+        ],
+        ids=["non-finite-first", "malformed-first"],
+    )
+    def test_earlier_fault_named_across_chunks(self, tmp_path, chunk_run, first, second, message):
+        # the first fault ends the first chunk, the second begins the next one
+        def edit(lines):
+            self.set_field(lines, _CHUNK_ROWS - 1, *first)
+            self.set_field(lines, _CHUNK_ROWS, *second)
+
+        path = self.write_edited(tmp_path, chunk_run, edit)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row {_CHUNK_ROWS - 1}, {message}')}"):
+            read_trace(path)
 
     def test_header_only_is_empty_trace(self, tmp_path, short_run):
         path = self.write_edited(tmp_path, short_run[1], lambda lines: lines.__delitem__(slice(1, None)))

@@ -1,15 +1,17 @@
+import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from railsched import engine
 from railsched.config import default_config, load_config, with_updates
-from railsched.engine import Trace, audit_decisions, replay_check, run, summarize
+from railsched.engine import _CHUNK_ROWS, Trace, audit_decisions, replay_check, run, summarize
 from railsched.policies import POLICY_NAMES
-from railsched.traceio import _WRITE_CHUNK_ROWS, _trace_schema, write_summary, write_trace
+from railsched.traceio import _trace_schema, read_trace, write_summary, write_trace
 
 BASE = default_config()
 
@@ -194,14 +196,17 @@ class TestSummarize:
     def test_power_sum_is_sequential(self):
         # run() adds the powers one slot at a time.  In order, 1e16 + 1.0 + 1.0
         # is 1e16 (each 1.0 is half an ulp, rounded to even); a compensated sum,
-        # as the builtin sum makes on floats since Python 3.12, gives 1e16 + 2.
-        trace = self.synthetic_trace(horizon=3)
-        trace.power = np.array([1e16, 1.0, 1.0])
-        streamed = 0.0
-        for power in trace.power.tolist():
-            streamed += power
-        assert streamed == 1e16
-        assert summarize(trace, default_config_k(1)).avg_power == streamed / 3
+        # as the builtin sum makes on floats since Python 3.12, gives 1e16 + 2,
+        # and so does adding per-chunk sums when 1e16 ends a chunk.
+        for horizon in (3, _CHUNK_ROWS + 2):
+            trace = self.synthetic_trace(horizon=horizon)
+            trace.power = np.zeros(horizon)
+            trace.power[-3:] = [1e16, 1.0, 1.0]
+            streamed = 0.0
+            for power in trace.power.tolist():
+                streamed += power
+            assert streamed == 1e16
+            assert summarize(trace, default_config_k(1)).avg_power == streamed / horizon
 
 
 def default_config_k(k):
@@ -237,6 +242,86 @@ def test_replay_names_tampered_slot(column, index, slot, check):
     getattr(trace, column)[index] += 1
     with pytest.raises(AssertionError, match=f"^slot {slot}: {check} replay mismatch$"):
         replay_check(trace, config)
+
+
+@pytest.mark.parametrize("column, check", [("queues", "real-queue"), ("virtual_delay", "delay virtual-queue"), ("virtual_power", "power virtual-queue")])
+def test_replay_names_a_transition_across_chunks(column, check):
+    # row C, the first of the second chunk, is the successor of slot C - 1, the last of the first
+    config = small_config(horizon=2 * _CHUNK_ROWS)
+    trace, _ = run(config)
+    getattr(trace, column)[_CHUNK_ROWS] += 1
+    with pytest.raises(AssertionError, match=f"^slot {_CHUNK_ROWS - 1}: {check} replay mismatch$"):
+        replay_check(trace, config)
+
+
+@pytest.mark.parametrize(
+    "late, early, message",
+    [
+        (("served", 2500), ("queues", (100, 0)), "slot 99: real-queue replay mismatch"),
+        (("served", 50), ("queues", (21, 0)), "slot 20: real-queue replay mismatch"),
+    ],
+    ids=["across-chunks", "one-chunk"],
+)
+def test_replay_names_the_earliest_faulty_slot(late, early, message):
+    # the served-count check comes before the real-queue one, but the earlier slot is named
+    config = small_config(horizon=3000, seed=1)
+    trace, _ = run(config, policy="proposed")
+    for column, index in (late, early):
+        getattr(trace, column)[index] += 1
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        replay_check(trace, config)
+
+
+@pytest.mark.parametrize("late", [2500, 500])
+def test_audit_names_the_earliest_faulty_slot(late):
+    # a wrong split at slot 10 and a wrong power later: the power check comes first, the slot wins
+    config = small_config(horizon=3000, seed=1)
+    trace, _ = run(config, policy="wfpa-static")
+    served = np.flatnonzero(trace.allocation[10])
+    assert served.size > 0
+    k = int(served[0])
+    trace.allocation[10, k] -= 1
+    trace.allocation[10, (k + 1) % trace.num_services] += 1
+    trace.power[late] /= 2
+    with pytest.raises(AssertionError, match="^slot 10: recorded split is not the greedy one$"):
+        audit_decisions(trace, config, "wfpa-static")
+
+
+@pytest.fixture(scope="module")
+def long_run():
+    config = small_config(horizon=16 * _CHUNK_ROWS, seed=1)
+    trace, _ = run(config, policy="wfpa-static")
+    return config, trace
+
+
+@pytest.mark.parametrize("phase", ["read_trace", "replay_check", "summarize", "write_trace"])
+def test_whole_trace_pass_memory_does_not_grow_with_the_horizon(tmp_path, long_run, phase):
+    # Each pass holds one chunk of rows beside the trace, whatever its length:
+    # from 4C to 16C slots its tracemalloc peak (less the returned trace's own
+    # arrays, for read_trace) may grow by at most one chunk of structured rows,
+    # C * 8 * (6 + 4K + 2) bytes.
+    config, trace = long_run
+    peaks = []
+    for rows in (4 * _CHUNK_ROWS, 16 * _CHUNK_ROWS):
+        part = Trace(**{field.name: getattr(trace, field.name)[:rows] for field in dataclasses.fields(Trace)})
+        path = tmp_path / f"{rows}.csv"
+        write_trace(part, path)
+        passes = {
+            "read_trace": lambda: read_trace(path),
+            "replay_check": lambda: replay_check(part, config),
+            "summarize": lambda: summarize(part, config),
+            "write_trace": lambda: write_trace(part, tmp_path / "again.csv"),
+        }
+        tracemalloc.start()
+        try:
+            out = passes[phase]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if phase == "read_trace":
+            peak -= sum(getattr(out, field.name).nbytes for field in dataclasses.fields(Trace))
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= _CHUNK_ROWS * 8 * (6 + 4 * trace.num_services + 2)
 
 
 @pytest.mark.parametrize("policy", ["proposed", "cpa-dynamic", "wfpa-static"])
@@ -465,7 +550,7 @@ def test_outputs_pinned(tmp_path, monkeypatch, scenario, policy):
         assert sum(summary.total_drops) > 0
     if scenario == "fractional-drain":
         # X is whole in some write chunks (printed with %d) and not in others.
-        chunks = np.split(trace.virtual_delay, range(_WRITE_CHUNK_ROWS, len(trace), _WRITE_CHUNK_ROWS))
+        chunks = np.split(trace.virtual_delay, range(_CHUNK_ROWS, len(trace), _CHUNK_ROWS))
         assert {bool(np.all(chunk == np.trunc(chunk))) for chunk in chunks} == {True, False}
     with monkeypatch.context() as patch:
         patch.setattr(engine, "brute_force_slot", lambda inst: pytest.fail(f"oracle called on {inst}"))

@@ -81,7 +81,7 @@ def test_harness_and_script_names_resolve(module, names):
 
 
 # The `_` helpers one package module takes from another, as (importer, source, name).
-PRIVATE_IMPORTS = {("sweep", "traceio", "_fmt"), ("sweep", "traceio", "_named_decode_errors")}
+PRIVATE_IMPORTS = {("sweep", "traceio", "_fmt"), ("sweep", "traceio", "_named_decode_errors"), ("traceio", "engine", "_CHUNK_ROWS")}
 
 
 def test_private_names_shared_between_modules():
