@@ -176,8 +176,8 @@ def _record(trace: Trace, start: int, floats: list[float], ints: list[int]) -> N
     and Q_1..Q_K to `ints`.
     """
     k = trace.num_services
-    f = np.array(floats, dtype=np.float64).reshape(-1, 2 + k)
-    i = np.array(ints, dtype=np.int64).reshape(-1, 2 + 2 * k)
+    f = np.fromiter(floats, dtype=np.float64, count=len(floats)).reshape(-1, 2 + k)
+    i = np.fromiter(ints, dtype=np.int64, count=len(ints)).reshape(-1, 2 + 2 * k)
     rows = slice(start, start + len(f))
     trace.power[rows], trace.virtual_power[rows], trace.virtual_delay[rows] = f[:, 0], f[:, 1], f[:, 2:]
     trace.capacity[rows], trace.served[rows] = i[:, 0], i[:, 1]
@@ -272,6 +272,8 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
     Raises AssertionError naming the earliest slot whose action is wrong; of
     faults in one slot, the first checked: distance, noise, the oracle's C*,
     the power cap, then the recorded capacity, power, served count, split.
+    The scenario's four profiles (d, N, the power cap and the packet cap)
+    are built once; the rest runs one chunk of rows at a time.
     """
     horizon, num_services = len(trace), trace.num_services
     if horizon != config.horizon:
@@ -280,49 +282,50 @@ def audit_decisions(trace: Trace, config: ScenarioConfig, policy: str) -> None:
     radio, traffic, eta = config.radio, config.traffic, config.radio.eta
     distances = distance_profile(horizon, config.geometry)
     noises = noise_profile(distances, radio)
-    checks = [
-        (trace.distance != distances, "recorded distance is not the scenario's d(t)"),
-        (trace.noise != noises, "recorded noise is not the scenario's N(t)"),
-    ]
     rule = build_policy(policy, traffic.avg_power, radio.max_power, noises)
-    power_cap = rule.power_cap
-    caps = capacity_cap_profile(noises, power_cap, eta)
+    caps = capacity_cap_profile(noises, rule.power_cap, eta)
 
-    weights, backlogs = trace.virtual_delay, trace.queues
-    order = np.argsort(-weights, axis=1, kind="stable")
-    xs = np.take_along_axis(weights, order, axis=1)
-    prefix = np.zeros((horizon, num_services + 1), dtype=np.int64)
-    np.cumsum(np.take_along_axis(backlogs, order, axis=1), axis=1, out=prefix[:, 1:])
+    for start in range(0, horizon, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        noise, power_cap, cap = noises[rows], rule.power_cap[rows], caps[rows]
+        checks = [
+            (trace.distance[rows] != distances[rows], "recorded distance is not the scenario's d(t)"),
+            (trace.noise[rows] != noise, "recorded noise is not the scenario's N(t)"),
+        ]
+        weights, backlogs = trace.virtual_delay[rows], trace.queues[rows]
+        order = np.argsort(-weights, axis=1, kind="stable")
+        xs = np.take_along_axis(weights, order, axis=1)
+        prefix = np.zeros((len(weights), num_services + 1), dtype=np.int64)
+        np.cumsum(np.take_along_axis(backlogs, order, axis=1), axis=1, out=prefix[:, 1:])
 
-    if rule.static:
-        capacity = caps
-        served = np.minimum(caps, prefix[:, -1])
-        power = power_cap
-    else:
-        beta = config.omega * noises * (num_services * trace.virtual_power)
-        capacity, certified = _slot_optima(xs, prefix, beta, eta, np.minimum(prefix[:, -1], caps))
-        for t in np.flatnonzero(~certified | (capacity != trace.capacity)).tolist():
-            inst = SlotInstance(
-                tuple(weights[t].tolist()), tuple(backlogs[t].tolist()), float(beta[t]), eta, float(noises[t]), int(caps[t])
-            )
-            capacity[t] = brute_force_slot(inst).capacity
-            if capacity[t] != trace.capacity[t]:
-                # Slots past t stay unsettled; whatever they show comes after t.
-                checks.append((np.arange(horizon) == t, f"recorded capacity {trace.capacity[t]} but the slot optimum is {capacity[t]}"))
-                break
-        served, power = capacity, noises * _prices(eta, capacity)
-        checks.append((power > power_cap, "the slot optimum needs more than the power cap"))
+        if rule.static:
+            capacity = cap
+            served = np.minimum(cap, prefix[:, -1])
+            power = power_cap
+        else:
+            beta = config.omega * noise * (num_services * trace.virtual_power[rows])
+            capacity, certified = _slot_optima(xs, prefix, beta, eta, np.minimum(prefix[:, -1], cap))
+            recorded = trace.capacity[rows]
+            for i in np.flatnonzero(~certified | (capacity != recorded)).tolist():
+                inst = SlotInstance(tuple(weights[i].tolist()), tuple(backlogs[i].tolist()), float(beta[i]), eta, float(noise[i]), int(cap[i]))
+                capacity[i] = brute_force_slot(inst).capacity
+                if capacity[i] != recorded[i]:
+                    # Rows past i stay unsettled; whatever they show comes after slot start + i.
+                    checks.append((np.arange(len(capacity)) == i, f"recorded capacity {recorded[i]} but the slot optimum is {capacity[i]}"))
+                    break
+            served, power = capacity, noise * _prices(eta, capacity)
+            checks.append((power > power_cap, "the slot optimum needs more than the power cap"))
 
-    share = np.clip(served[:, None] - prefix[:, :-1], 0, np.diff(prefix, axis=1))
-    allocation = np.empty_like(share)
-    np.put_along_axis(allocation, order, share, axis=1)
-    checks += [
-        (trace.capacity != capacity, "recorded capacity is not the policy's"),
-        (trace.power != power, "recorded power is not the policy's"),
-        (trace.served != served, "recorded packets served are not the policy's"),
-        (np.any(trace.allocation != allocation, axis=1), "recorded split is not the greedy one"),
-    ]
-    _require(checks)
+        share = np.clip(served[:, None] - prefix[:, :-1], 0, np.diff(prefix, axis=1))
+        allocation = np.empty_like(share)
+        np.put_along_axis(allocation, order, share, axis=1)
+        checks += [
+            (trace.capacity[rows] != capacity, "recorded capacity is not the policy's"),
+            (trace.power[rows] != power, "recorded power is not the policy's"),
+            (trace.served[rows] != served, "recorded packets served are not the policy's"),
+            (np.any(trace.allocation[rows] != allocation, axis=1), "recorded split is not the greedy one"),
+        ]
+        _require(checks, start)
 
 
 def _check_services(trace: Trace, config: ScenarioConfig) -> None:

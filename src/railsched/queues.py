@@ -28,6 +28,9 @@ import numpy as np
 # changes the draws of every seeded run above it.
 _CHUNK_RATE = 30.0
 
+# Equal bins of [0, 1) in each rate's guide table; a power of two.
+_GUIDE_BINS = 4096
+
 
 @dataclass(frozen=True)
 class TrafficParams:
@@ -87,11 +90,29 @@ def _cdf_table(rate: float) -> list[float]:
     return table
 
 
+def _guide(rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk rate's CDF table, and for each of the `_GUIDE_BINS` bins of [0, 1) its guide.
+
+    A draw u in bin b inverts to the smallest k with u <= F(k).  That k is at
+    least low[b], the smallest k with F(k) >= b / bins, and it is low[b]
+    unless some F(k) lies inside the bin, which `step[b]` marks; only those
+    draws need a search.  low's dtype is the smallest that holds the table's
+    length.
+    """
+    table = np.array(_cdf_table(rate))
+    edges = np.searchsorted(table, np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS, side="left")
+    return table, edges[:-1].astype(np.min_scalar_type(len(table))), edges[1:] != edges[:-1]
+
+
 class ArrivalProcess:
     """Seeded Poisson arrival streams, one independent substream per service.
 
-    Draws use CDF inversion (one uniform per draw, one table lookup), so
-    sequences are bit-identical across platforms.
+    Draws use CDF inversion, one uniform per draw, through a guide table
+    (indexed search: Chen & Asau, AIIE Transactions 6(2), 1974; Devroye,
+    Non-Uniform Random Variate Generation, 1986, III.2.4): a draw's bin
+    gives its count directly unless a CDF step falls inside the bin, and
+    only those draws are binary-searched.  The counts are those of a plain
+    search of the table, so sequences are bit-identical across platforms.
     """
 
     def __init__(self, rates: tuple[float, ...], master_seed: int):
@@ -100,23 +121,34 @@ class ArrivalProcess:
             np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=int(master_seed), spawn_key=(k,))))
             for k in range(len(self.rates))
         ]
-        self._chunks: list[tuple[int, list[float]]] = []
+        # (chunks per slot, the chunk rate's guide) per service; one guide per distinct chunk rate.
+        guides: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._chunks: list[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray] | None]] = []
         for rate in self.rates:
             n_chunks = math.ceil(rate / _CHUNK_RATE)
-            self._chunks.append((n_chunks, _cdf_table(rate / n_chunks) if n_chunks else []))
+            if n_chunks and rate / n_chunks not in guides:
+                guides[rate / n_chunks] = _guide(rate / n_chunks)
+            self._chunks.append((n_chunks, guides[rate / n_chunks] if n_chunks else None))
 
     def sample_horizon(self, num_slots: int) -> np.ndarray:
         """Arrival counts for slots 0..num_slots-1, shape (num_slots, K).
 
         Each service inverts one block of uniforms from its own stream, one
-        uniform per chunk per slot, in slot order.
+        uniform per chunk per slot, in slot order.  Scaling a uniform by the
+        bin count, a power of two, and back is exact.
         """
         out = np.zeros((num_slots, len(self.rates)), dtype=np.int64)
-        for k, ((n_chunks, table), stream) in enumerate(zip(self._chunks, self._streams)):
+        for k, ((n_chunks, guide), stream) in enumerate(zip(self._chunks, self._streams)):
             if n_chunks == 0:
                 continue
-            idx = np.searchsorted(table, stream.random(num_slots * n_chunks), side="left")
-            out[:, k] = idx.reshape(num_slots, n_chunks).sum(axis=1)
+            table, low, step = guide
+            scaled = stream.random(num_slots * n_chunks)
+            scaled *= _GUIDE_BINS
+            bins = scaled.astype(np.intp)
+            counts = low[bins]
+            search = step[bins]
+            counts[search] = np.searchsorted(table, scaled[search] / _GUIDE_BINS, side="left")
+            out[:, k] = counts if n_chunks == 1 else counts.reshape(num_slots, n_chunks).sum(axis=1)
         return out
 
 

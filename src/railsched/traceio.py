@@ -6,9 +6,13 @@ total drops (6 + 4K + 2 columns), listed once in a table below that both
 the writer and the reader follow.  Summaries are `field = value` lines,
 written for people and other tools; nothing here reads them back.  Floats
 are written with 17 significant digits so parsing returns the exact double
-and a write/read/write cycle is byte-identical.  The writer formats, and
-the reader parses straight into the trace's arrays, one chunk of the
-engine's `_CHUNK_ROWS` rows at a time.
+and a write/read/write cycle is byte-identical.  Both sides take one chunk
+of the engine's `_CHUNK_ROWS` rows at a time.  The writer formats a chunk
+with one bytes `%` template per row and writes it to a binary file (the
+same text as str `%`, with no str handling or encode step, and `\n` line
+ends everywhere).  The reader hands `np.loadtxt` the open file for each
+chunk's rows; any fault sends the file through one row-by-row rescan that
+names the first fault in file order.
 
 Many float columns hold only whole numbers: X adds whole backlogs and
 drains a whole W_k * lambda_k at the defaults.  `%.17g` prints a whole
@@ -21,8 +25,8 @@ doubles the writer prints it with `%d` from an int64 copy.  -0.0 keeps
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,17 +61,17 @@ def trace_columns(num_services: int) -> list[str]:
 def write_trace(trace: Trace, path: str | Path) -> None:
     schema = _trace_schema(trace.num_services)
     columns = [getattr(trace, name) if k is None else getattr(trace, name)[:, k] for _, name, _, k in schema]
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(",".join(trace_columns(trace.num_services)) + "\n")
+    with open(path, "wb") as out:
+        out.write((",".join(trace_columns(trace.num_services)) + "\n").encode())
         for start in range(0, len(trace), _CHUNK_ROWS):
             chunk = [col[start : start + _CHUNK_ROWS] for col in columns]
             # One row's text as `_fmt` gives each value: integers in full, floats
             # with 17 digits, or with `%d` where the chunk's column is whole
             # (the same text, cheaper; see the module docstring).
             whole = [integer or _whole(col) for (_, _, integer, _), col in zip(schema, chunk)]
-            row = ",".join("%d" if w else "%.17g" for w in whole) + "\n"
+            row = b",".join(b"%d" if w else b"%.17g" for w in whole) + b"\n"
             values = [(col.astype(np.int64, copy=False) if w else col).tolist() for w, col in zip(whole, chunk)]
-            out.write("".join(map(row.__mod__, zip(*values))))
+            out.write(b"".join(map(row.__mod__, zip(*values))))
 
 
 def _whole(values: np.ndarray) -> bool:
@@ -81,9 +85,12 @@ def read_trace(path: str | Path) -> Trace:
     Rows count from 0 at the first line after the header.  Every row needs
     one field per header column, integer columns whole numbers and float
     columns finite values.  Empty lines may only end the file; a header
-    with no rows gives a zero-length trace.  Of several faults, the first
-    in file order is named.  A first pass counts the rows; the second
-    parses them one chunk at a time into the trace's arrays.
+    with no rows gives a zero-length trace.  A first pass counts the rows;
+    the second hands `np.loadtxt` the open file for one chunk of rows at a
+    time and copies each chunk into the trace's arrays.  Any fault in a
+    chunk (a parse error, an empty line, fewer rows than asked for, a
+    non-finite value) sends the file through one rescan, `_check_rows`,
+    which names the first fault in file order, a value as it is written.
     """
     with _named_decode_errors(path), open(path, encoding="utf-8") as src:
         header = src.readline().rstrip("\n").split(",")
@@ -102,22 +109,24 @@ def read_trace(path: str | Path) -> Trace:
         dtype = [(column, np.int64 if integer else np.float64) for column, _, integer, _ in schema]
         floats = [column for column, _, integer, _ in schema if not integer]
         src.seek(body)
-        lines = (line for _, line in _numbered_lines(path, src))
         for start in range(0, num_rows, _CHUNK_ROWS):
+            count = min(_CHUNK_ROWS, num_rows - start)
+            error = None
             try:
-                rows = np.loadtxt(itertools.islice(lines, _CHUNK_ROWS), delimiter=",", comments=None, dtype=dtype, ndmin=1)
-            except ValueError as exc:
+                # max_rows reads that many rows on from the file's position and
+                # skips an empty line with a UserWarning (numpy >= 1.23): a fault here.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", UserWarning)
+                    rows = np.loadtxt(src, delimiter=",", comments=None, dtype=dtype, ndmin=1, max_rows=count)
+            except (ValueError, UserWarning) as exc:
+                error = exc
+            if error is not None or len(rows) < count or not all(np.isfinite(rows[column]).all() for column in floats):
                 # Locate the fault one field at a time; fall back to numpy's own words.
                 src.seek(body)
                 _check_rows(path, schema, k_count, src)
-                raise ValueError(f"{path}: {exc}") from None
-            # (first non-finite row, column index) for each float column; the least pair is the first fault in file order.
-            faults = [(int(np.argmax(bad)), i) for i, column in enumerate(floats) if (bad := ~np.isfinite(rows[column])).any()]
-            if faults:
-                row, i = min(faults)
-                raise ValueError(f"{path}: row {start + row}, column {floats[i]}: non-finite value {float(rows[floats[i]][row])!r}")
+                raise ValueError(f"{path}: {error or f'rows from {start} on do not parse'}")
             for (column, *_), target in zip(schema, targets):
-                target[start : start + len(rows)] = rows[column]
+                target[start : start + count] = rows[column]
     return Trace(**fields)
 
 

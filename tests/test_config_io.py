@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -553,7 +554,7 @@ class TestTraceRejectsBadFiles:
             self.set_field(lines, 2, "X4", "-inf")
 
         path = self.write_edited(tmp_path, short_run[1], edit)
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 2, column X4: non-finite value -inf$"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 2, column X4: non-finite value '-inf'$"):
             read_trace(path)
 
     def test_fault_only_numpy_sees_is_named(self, tmp_path, short_run):
@@ -630,12 +631,88 @@ class TestTraceRejectsBadFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row {_CHUNK_ROWS - 1}, {message}')}"):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "later",
+        [None, (_CHUNK_ROWS, "Q2", "3.5"), (_CHUNK_ROWS - 1, "drops", "3.5")],
+        ids=["chunk-clean", "parse-fault-next-chunk", "parse-fault-same-chunk"],
+    )
+    def test_non_finite_value_printed_as_written(self, tmp_path, chunk_run, later):
+        # the value is named as written, quoted, whether or not a later parse
+        # fault falls in its chunk (drops is the column after Y)
+        def edit(lines):
+            self.set_field(lines, _CHUNK_ROWS - 1, "Y", "inf")
+            if later is not None:
+                self.set_field(lines, *later)
+
+        path = self.write_edited(tmp_path, chunk_run, edit)
+        message = f"{path}: row {_CHUNK_ROWS - 1}, column Y: non-finite value 'inf'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "row, trailing",
+        [(5, 0), (_CHUNK_ROWS + 500, 0), (2 * _CHUNK_ROWS + 100, 0), (3 * _CHUNK_ROWS - 1, 2)],
+        ids=["first-chunk", "middle-chunk", "last-chunk", "before-trailing-empty-lines"],
+    )
+    def test_empty_line_named_in_any_chunk(self, tmp_path, chunk_run, row, trailing):
+        # numpy skips an empty line under max_rows with a UserWarning; the reader
+        # turns it into this error, and no warning leaves read_trace
+        def edit(lines):
+            lines.insert(1 + row, "")
+            lines.extend([""] * trailing)
+
+        path = self.write_edited(tmp_path, chunk_run, edit)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row {row} is empty')}$"):
+                read_trace(path)
+        assert caught == []
+
+    def test_empty_line_named_when_numpy_skips_it_silently(self, tmp_path, chunk_run, monkeypatch):
+        # without the warning the skipped line leaves the last chunk a row short,
+        # which sends the file through the same rescan
+        loadtxt = np.loadtxt
+
+        def silent(*args, **kwargs):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", silent)
+        path = self.write_edited(tmp_path, chunk_run, lambda lines: lines.insert(1 + 600, ""))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row 600 is empty')}$"):
+            read_trace(path)
+
     def test_header_only_is_empty_trace(self, tmp_path, short_run):
         path = self.write_edited(tmp_path, short_run[1], lambda lines: lines.__delitem__(slice(1, None)))
         trace = read_trace(path)
         assert len(trace) == 0
         assert trace.num_services == short_run[1].num_services
         assert trace.queues.shape == (0, 6)
+
+
+class TestLoadtxtAsTheReaderUsesIt:
+    """The numpy (>= 1.23) behaviours `read_trace` relies on, pinned so that a numpy upgrade shows here first."""
+
+    DTYPE = [("t", np.int64), ("d", np.float64)]
+
+    def test_max_rows_on_an_open_file_leaves_it_after_them(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("1,2.5\n3,4.5\n5,6.5\n7,8.5\n")
+        with open(path, encoding="utf-8") as src:
+            rows = np.loadtxt(src, delimiter=",", comments=None, dtype=self.DTYPE, ndmin=1, max_rows=2)
+            assert rows.tolist() == [(1, 2.5), (3, 4.5)]
+            assert src.readline() == "5,6.5\n"
+            rows = np.loadtxt(src, delimiter=",", comments=None, dtype=self.DTYPE, ndmin=1, max_rows=1)
+            assert rows.tolist() == [(7, 8.5)]
+            assert src.readline() == ""
+
+    def test_empty_line_under_max_rows_warns(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("1,2.5\n\n3,4.5\n")
+        with open(path, encoding="utf-8") as src, pytest.warns(UserWarning, match="contained no data"):
+            rows = np.loadtxt(src, delimiter=",", comments=None, dtype=self.DTYPE, ndmin=1, max_rows=2)
+        assert rows.tolist() == [(1, 2.5), (3, 4.5)]
 
 
 # Each summary.txt field, the parser of one of its values, and whether it

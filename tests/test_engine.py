@@ -294,23 +294,31 @@ def long_run():
     return config, trace
 
 
-@pytest.mark.parametrize("phase", ["read_trace", "replay_check", "summarize", "write_trace"])
+@pytest.mark.parametrize(
+    "phase", ["read_trace", "replay_check", "summarize", "write_trace", "audit_decisions-wfpa-static", "audit_decisions-proposed"]
+)
 def test_whole_trace_pass_memory_does_not_grow_with_the_horizon(tmp_path, long_run, phase):
     # Each pass holds one chunk of rows beside the trace, whatever its length:
     # from 4C to 16C slots its tracemalloc peak (less the returned trace's own
     # arrays, for read_trace) may grow by at most one chunk of structured rows,
-    # C * 8 * (6 + 4K + 2) bytes.
+    # C * 8 * (6 + 4K + 2) bytes.  audit_decisions also keeps the scenario's
+    # four profiles (d, N, the power cap and the packet cap), 32 bytes a slot;
+    # it audits a run of each horizon, since a wfpa cap depends on the horizon.
     config, trace = long_run
+    phase, _, policy = phase.partition("-")
     peaks = []
     for rows in (4 * _CHUNK_ROWS, 16 * _CHUNK_ROWS):
         part = Trace(**{field.name: getattr(trace, field.name)[:rows] for field in dataclasses.fields(Trace)})
         path = tmp_path / f"{rows}.csv"
         write_trace(part, path)
+        scenario = with_updates(config, horizon=rows)
+        audited = run(scenario, policy=policy)[0] if policy else None
         passes = {
             "read_trace": lambda: read_trace(path),
             "replay_check": lambda: replay_check(part, config),
             "summarize": lambda: summarize(part, config),
             "write_trace": lambda: write_trace(part, tmp_path / "again.csv"),
+            "audit_decisions": lambda: audit_decisions(audited, scenario, policy),
         }
         tracemalloc.start()
         try:
@@ -321,7 +329,8 @@ def test_whole_trace_pass_memory_does_not_grow_with_the_horizon(tmp_path, long_r
         if phase == "read_trace":
             peak -= sum(getattr(out, field.name).nbytes for field in dataclasses.fields(Trace))
         peaks.append(peak)
-    assert peaks[1] - peaks[0] <= _CHUNK_ROWS * 8 * (6 + 4 * trace.num_services + 2)
+    profiles = 32 * (16 - 4) * _CHUNK_ROWS if policy else 0
+    assert peaks[1] - peaks[0] <= _CHUNK_ROWS * 8 * (6 + 4 * trace.num_services + 2) + profiles
 
 
 @pytest.mark.parametrize("policy", ["proposed", "cpa-dynamic", "wfpa-static"])

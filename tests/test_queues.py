@@ -1,19 +1,48 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from railsched.queues import (
+    _CHUNK_RATE,
+    _GUIDE_BINS,
     ArrivalProcess,
     SystemState,
     TrafficParams,
     _cdf_table,
+    _guide,
     update_real_queue,
     update_virtual_delay,
     update_virtual_power,
 )
 
 from reference_formulas import invert_cdf
+
+
+# A zero rate, one whose table is [1.0], the three whose running sums stop
+# short of the largest draw, the chunk rate itself, and chunked rates up to
+# one whose single table would underflow.
+GUIDE_RATES = [0.0, 1e-300, 1e-3, 17.0, 23.0, 28.340553333333332, 30.0, 30.5, 45.0, 800.0]
+
+
+class Uniforms:
+    """Stands in for a service's generator: `random(n)` returns the given draws."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values.copy()
+
+
+def plain_counts(rate, uniforms):
+    """Per-slot counts from a plain np.searchsorted inversion of one chunk rate's table."""
+    n_chunks = math.ceil(rate / _CHUNK_RATE)
+    table = _cdf_table(rate / n_chunks)
+    return np.searchsorted(table, uniforms, side="left").reshape(-1, n_chunks).sum(axis=1), table, n_chunks
 
 
 def make_params(rates, bounds=None, avg_power=36.0, buffer_cap=1_000_000):
@@ -43,7 +72,7 @@ class TestArrivals:
         # (seed, k) stream, inverted one at a time by the sequential search.
         proc = ArrivalProcess((20.0, 3.0, 45.0), master_seed=9)
         block = proc.sample_horizon(200)
-        for k, (n_chunks, table) in enumerate(proc._chunks):
+        for k, (n_chunks, (table, _, _)) in enumerate(proc._chunks):
             stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9, spawn_key=(k,))))
             for t in range(200):
                 expected = sum(invert_cdf(stream.random(), table) for _ in range(n_chunks))
@@ -80,6 +109,38 @@ class TestArrivals:
         counts = ArrivalProcess((800.0,), master_seed=7).sample_horizon(2_000)[:, 0]
         assert abs(counts.mean() - 800.0) < 4.0
         assert abs(counts.var(ddof=1) - 800.0) < 160.0
+
+    @pytest.mark.parametrize("seed", [1, 9, 2024])
+    def test_guide_matches_plain_and_sequential_search(self, seed):
+        # Service k draws GUIDE_RATES[k] from its own (seed, k) stream.
+        slots = 300
+        block = ArrivalProcess(tuple(GUIDE_RATES), master_seed=seed).sample_horizon(slots)
+        assert not block[:, 0].any()
+        for k, rate in enumerate(GUIDE_RATES[1:], start=1):
+            stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
+            uniforms = stream.random(slots * math.ceil(rate / _CHUNK_RATE))
+            plain, table, n_chunks = plain_counts(rate, uniforms)
+            assert np.array_equal(block[:, k], plain), rate
+            sequential = [sum(invert_cdf(u, table) for u in row) for row in uniforms.reshape(slots, n_chunks).tolist()]
+            assert block[:, k].tolist() == sequential, rate
+
+    @pytest.mark.parametrize("rate", GUIDE_RATES[1:])
+    def test_guide_exact_at_every_bin_edge(self, rate):
+        # Each edge b / bins, the double just below it, and the extremes 0 and
+        # 1 - 2**-53, padded with zeros to whole slots.
+        edges = np.arange(1, _GUIDE_BINS) / _GUIDE_BINS
+        uniforms = np.concatenate(([0.0, 1.0 - 2.0**-53], edges, np.nextafter(edges, 0.0)))
+        n_chunks = math.ceil(rate / _CHUNK_RATE)
+        uniforms = np.concatenate((uniforms, np.zeros(-uniforms.size % n_chunks)))
+        proc = ArrivalProcess((rate,), master_seed=1)
+        proc._streams[0] = Uniforms(uniforms)
+        assert np.array_equal(proc.sample_horizon(uniforms.size // n_chunks)[:, 0], plain_counts(rate, uniforms)[0])
+
+    def test_guide_dtype_holds_every_table_length(self):
+        for rate in np.linspace(1e-3, _CHUNK_RATE, 600).tolist() + GUIDE_RATES[1:8]:
+            table, low, step = _guide(rate)
+            assert len(low) == len(step) == _GUIDE_BINS
+            assert np.iinfo(low.dtype).max >= len(table)
 
     def test_streams_independent_of_service_count(self):
         # Service k's stream depends only on (seed, k), not on which others exist.
