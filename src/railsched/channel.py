@@ -85,14 +85,28 @@ def capacity_cap_profile(noises: np.ndarray, power_cap, eta: float) -> np.ndarra
     integer gives floor(e), the rest are bisected on Python's test, so the
     window never decides a cap.  The bound needs normal doubles: a noise
     below 2^-970 gets an infinite window.
+
+    The arrays are built in place, three whole-horizon float arrays at
+    most, so the build peaks at about 25 B a slot, the caps included.
     """
     noises = np.asarray(noises, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        estimate = np.log2(1.0 + power_cap / noises) / eta
-        window = np.where(noises < 2.0**-970, np.inf, 2.0**-48 * (estimate + 1.0 / eta))
+        estimate = np.divide(power_cap, noises)
+        estimate += 1.0
+        np.log2(estimate, out=estimate)
+        estimate /= eta
+        window = estimate + 1.0 / eta
+        window *= 2.0**-48
+        window[noises < 2.0**-970] = np.inf
         # fmax reads the NaN of inf - inf (P/N overflows) as 0.
-        lo = np.fmin(np.fmax(np.floor(estimate - window), 0.0), 2.0**53)
-        hi = np.fmin(np.floor(estimate + window), 2.0**53)
+        lo = np.subtract(estimate, window)
+        np.floor(lo, out=lo)
+        np.fmax(lo, 0.0, out=lo)
+        np.fmin(lo, 2.0**53, out=lo)
+        hi = np.add(estimate, window, out=window)
+        del estimate
+        np.floor(hi, out=hi)
+        np.fmin(hi, 2.0**53, out=hi)
         caps = lo.astype(np.int64)
     power = np.broadcast_to(power_cap, noises.shape)
     for t in np.flatnonzero(lo != hi).tolist():

@@ -55,14 +55,20 @@ def _wfpa_profile(noise_trajectory: np.ndarray, avg_power: float) -> np.ndarray:
     hi = float(noise.max()) + avg_power
 
     def average(level: float) -> float:
-        return np.maximum(level - noise, 0.0).mean()
+        power = np.subtract(level, noise)
+        return np.maximum(power, 0.0, out=power).mean()
 
     # The closed form over the sorted noise, then one Newton step on the float
-    # average, whose slope there is active / T.
+    # average, whose slope there is active / T.  In place, it holds three
+    # whole-horizon arrays at most, about 25 B a slot.
     ordered = np.sort(noise)
-    levels = (noise.size * avg_power + np.cumsum(ordered)) / np.arange(1, noise.size + 1)
+    levels = np.cumsum(ordered)
+    levels += noise.size * avg_power
+    levels /= np.arange(1.0, noise.size + 1)
     active = max(int(np.count_nonzero(levels > ordered)), 1)
-    level = levels[active - 1] + (avg_power - average(levels[active - 1])) * noise.size / active
+    start = levels[active - 1]
+    del ordered, levels
+    level = start + (avg_power - average(start)) * noise.size / active
     # Settle on the largest double below hi whose average is under budget, and
     # the next: a bisection on that test, monotone in the level, ends there.
     top = math.nextafter(hi, lo)
@@ -72,7 +78,8 @@ def _wfpa_profile(noise_trajectory: np.ndarray, avg_power: float) -> np.ndarray:
     while level > lo and not average(level) < avg_power:
         level = math.nextafter(level, lo)
     lo, hi = level, math.nextafter(level, hi)
-    profile = np.maximum(0.5 * (lo + hi) - noise, 0.0)
+    profile = np.subtract(0.5 * (lo + hi), noise)
+    np.maximum(profile, 0.0, out=profile)
     rel_err = abs(profile.mean() - avg_power) / avg_power
     if rel_err > _WFPA_BUDGET_RTOL:
         raise RuntimeError(f"water-filling left budget error {rel_err:.3e}")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,20 @@ class TestCapacityCapProfile:
             for noise, cap in zip(noises[::97].tolist(), caps[::97].tolist()):
                 assert _fits(cap, noise, power_cap, RADIO.eta)
                 assert not _fits(cap + 1, noise, power_cap, RADIO.eta)
+
+    @pytest.mark.parametrize("per_slot", [False, True])
+    def test_build_peak_per_slot(self, per_slot):
+        # Built in place: at most 26 B a slot, the returned caps included.
+        slots = 100_000
+        noises = noise_profile(distance_profile(slots, GEOM), RADIO)
+        power_cap = np.full(slots, RADIO.max_power) if per_slot else RADIO.max_power
+        tracemalloc.start()
+        try:
+            capacity_cap_profile(noises, power_cap, RADIO.eta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 * slots
 
 
 def test_channel_sample_consistent():

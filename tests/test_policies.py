@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,17 @@ class TestProfiles:
         noise = noise_profile(distance_profile(CONFIG.horizon, CONFIG.geometry), CONFIG.radio)
         for budget in (0.001, 0.5, 8.85, 36.0):
             assert np.array_equal(_wfpa_profile(noise, budget), bisection_wfpa_profile(noise, budget))
+
+    def test_wfpa_build_peak_per_slot(self):
+        # Built in place: at most 26 B a slot, the returned profile included.
+        noise = noise_profile(distance_profile(100_000, CONFIG.geometry), CONFIG.radio)
+        tracemalloc.start()
+        try:
+            _wfpa_profile(noise, CONFIG.traffic.avg_power)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 * noise.size
 
     def test_wfpa_rejects_bad_budget(self):
         # the budget is checked before any cap is built, so the water-filling

@@ -8,11 +8,16 @@ from hypothesis import strategies as st
 from railsched.queues import (
     _CHUNK_RATE,
     _GUIDE_BINS,
+    _PCG_BLOCK,
+    _PCG_MULT,
     ArrivalProcess,
     SystemState,
     TrafficParams,
+    _affine,
     _cdf_table,
     _guide,
+    _PCG64Stream,
+    _pcg_jumps,
     update_real_queue,
     update_virtual_delay,
     update_virtual_power,
@@ -147,6 +152,94 @@ class TestArrivals:
         one = ArrivalProcess((20.0,), master_seed=3).sample_horizon(100)[:, 0]
         two = ArrivalProcess((20.0, 7.0), master_seed=3).sample_horizon(100)[:, 0]
         assert np.array_equal(one, two)
+
+
+def numpy_stream(seed, key):
+    """numpy's own generator for (seed, key), the oracle `_PCG64Stream` must match draw for draw."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
+
+
+ORACLE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 1, 2**70 + 3]
+ORACLE_LENGTHS = [1, _PCG_BLOCK - 1, _PCG_BLOCK, _PCG_BLOCK + 1, 3 * _PCG_BLOCK + 5]
+MASK128 = (1 << 128) - 1
+
+
+def as_int(lo, hi):
+    return [int(h) << 64 | int(l) for l, h in zip(lo.tolist(), hi.tolist())]
+
+
+def halves(values):
+    return np.array([v & (2**64 - 1) for v in values], np.uint64), np.array([v >> 64 for v in values], np.uint64)
+
+
+class TestPCG64Stream:
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_matches_numpy(self, seed):
+        # Fresh streams at each length, and one stream continued across all of them.
+        for key in range(8):
+            continued, oracle = _PCG64Stream(seed, key), numpy_stream(seed, key)
+            for size in ORACLE_LENGTHS:
+                assert np.array_equal(_PCG64Stream(seed, key).random(size), numpy_stream(seed, key).random(size)), (key, size)
+                assert np.array_equal(continued.random(size), oracle.random(size)), (key, size)
+
+    def test_empty_draw_keeps_the_stream(self):
+        stream = _PCG64Stream(5, 1)
+        assert stream.random(0).shape == (0,)
+        assert np.array_equal(stream.random(3), numpy_stream(5, 1).random(3))
+
+    def test_draws_are_float64(self):
+        draws = _PCG64Stream(1, 0).random(_PCG_BLOCK + 1)
+        assert draws.dtype == np.float64
+        assert 0.0 <= draws.min() and draws.max() < 1.0
+
+    def test_jump_table_is_powers_and_their_sums(self):
+        a_lo, a_hi, g_lo, g_hi = _pcg_jumps()
+        assert a_lo.dtype == a_hi.dtype == g_lo.dtype == g_hi.dtype == np.uint64
+        assert a_lo.size == _PCG_BLOCK
+        a, g, powers, sums = 1, 0, [], []
+        for _ in range(_PCG_BLOCK):
+            g = (g + a) & MASK128
+            a = a * _PCG_MULT & MASK128
+            powers.append(a)
+            sums.append(g)
+        assert as_int(a_lo, a_hi) == powers
+        assert as_int(g_lo, g_hi) == sums
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.integers(0, MASK128), min_size=1, max_size=8),
+        st.one_of(st.integers(0, MASK128), st.sampled_from([0, 1, MASK128, 2**64 - 1, 2**64, 2**32 - 1])),
+        st.integers(0, MASK128),
+    )
+    def test_affine_matches_python_ints(self, xs, y, add):
+        # Extremes included: every partial sum of the high half wraps without a warning.
+        xs += [MASK128, 2**64 - 1, 2**64, 2**127]
+        x_lo, x_hi = halves(xs)
+        add_lo, add_hi = halves([add] * len(xs))
+        lo, hi = _affine(x_lo, x_hi, y, add_lo, add_hi)
+        assert lo.dtype == hi.dtype == np.uint64
+        assert as_int(lo, hi) == [(x * y + add) & MASK128 for x in xs]
+
+
+class TestArrivalSeeds:
+    def test_negative_seed_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            ArrivalProcess((20.0,), master_seed=-1)
+
+    @pytest.mark.parametrize("seed", [3.0, np.int64(3), np.uint64(3), 3.7])
+    def test_seed_coerced_with_int(self, seed):
+        expected = ArrivalProcess((20.0, 45.0), master_seed=3).sample_horizon(50)
+        assert np.array_equal(ArrivalProcess((20.0, 45.0), master_seed=seed).sample_horizon(50), expected)
+
+    def test_two_horizons_continue_one_stream(self):
+        # 45 packets/slot draws two uniforms a slot, so that stream crosses a block edge in both calls.
+        rates = (20.0, 45.0)
+        proc = ArrivalProcess(rates, master_seed=11)
+        first, second = proc.sample_horizon(3000), proc.sample_horizon(2500)
+        whole = ArrivalProcess(rates, master_seed=11).sample_horizon(5500)
+        assert np.array_equal(np.concatenate((first, second)), whole)
 
 
 class TestRealQueue:

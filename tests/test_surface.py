@@ -6,6 +6,9 @@ through a slow subprocess, these checks in process.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from operator import attrgetter
 from pathlib import Path
@@ -92,3 +95,31 @@ def test_private_names_shared_between_modules():
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 shared |= {(path.stem, node.module, alias.name) for alias in node.names if alias.name.startswith("_")}
     assert shared == PRIVATE_IMPORTS
+
+
+# A user's whole workflow in a fresh interpreter: runs, a trace round trip
+# and a two-worker sweep, after which numpy's random module must still be
+# unloaded (its import costs 2-6 MB of resident memory).
+WORKFLOW = """
+import sys, tempfile
+from pathlib import Path
+import railsched
+from railsched.traceio import read_trace, write_trace
+config = railsched.load_config(None, horizon=300)
+railsched.run(config, "proposed")
+static_trace, _ = railsched.run(config, "wfpa-static")
+with tempfile.TemporaryDirectory() as tmp:
+    write_trace(static_trace, Path(tmp) / "trace.csv")
+    read_trace(Path(tmp) / "trace.csv")
+table = railsched.run_sweep(railsched.SweepSpec("omega", (1.0, 2.0), ("proposed", "wfpa-static")), config, workers=2)
+assert not table.failures, table.failures
+print(sorted(name for name in sys.modules if name.startswith("numpy.random")))
+"""
+
+
+def test_workflow_never_imports_numpy_random():
+    src = str(Path(railsched.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", WORKFLOW], env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
